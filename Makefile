@@ -1,12 +1,12 @@
 # Tier-1 verification and the engine-specific gates. `make ci` is what a
-# PR must pass: build, vet, gofmt cleanliness, the quick test sweep, and
-# the race-checked batch engine (.github/workflows/ci.yml runs exactly
-# this target).
+# PR must pass: build, vet, gofmt cleanliness, the quick test sweep, the
+# race-checked batch engine, the service smokes and the benchmark module
+# check (.github/workflows/ci.yml runs exactly this target).
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check lint-go test test-short test-race bench bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
+.PHONY: all build vet fmt-check lint-go test test-short test-race bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
 
 all: build
 
@@ -53,6 +53,12 @@ test-race:
 # Regenerate every paper artifact at quick scale.
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime 1x .
+
+# The repository benchmark (perfbench/) is a Go module of its own, so the
+# root `go build ./...` never compiles it: vet it and run its tests
+# (every workload briefly, in both modes) against the current tree.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The compile-once/run-many engine comparison (see EXPERIMENTS.md).
 bench-engine:
@@ -190,4 +196,4 @@ chaos-test:
 chaos-smoke:
 	$(GO) test -run TestChaosSurvival -short -timeout 120s ./internal/edaserver
 
-ci: build vet fmt-check lint-go test-short test-race chaos-smoke serve-smoke load-smoke
+ci: build vet fmt-check lint-go test-short test-race chaos-smoke serve-smoke load-smoke bench-check

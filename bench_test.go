@@ -311,8 +311,8 @@ endmodule`)
 // guard: with no probe attached the hot paths add only a nil check per
 // commit and a dead line store per VM store opcode, so this point must
 // track the other Kernel benchmarks. On measures the attached-probe tax
-// (serial cone evaluation plus one indirect call per transition) that
-// xdebug runs pay; it is diagnostic, not a regression gate.
+// (one indirect call per transition) that xdebug runs pay; it is
+// diagnostic, not a regression gate.
 func runKernelProbeBench(b *testing.B, probe bool) {
 	cd := compileKernelBench(b, `
 module tb;

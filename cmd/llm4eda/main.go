@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	llm4eda [-cpuprofile F] [-memprofile F] [-vmstats] <command> ...
+//	llm4eda [-cpuprofile F] [-memprofile F] <command> ...
 //	llm4eda <framework> [-tier T] [-seed N] [-workers N] [-timeout D]
 //	        [-p k=v ...] [-v] [-json] [problem-id]  run one framework (see list)
 //	llm4eda exp [-full] [-seed N] [-timeout D] [-v] <E1..E12|all>
@@ -81,7 +81,6 @@ func run(args []string) error {
 	global := flag.NewFlagSet("llm4eda", flag.ContinueOnError)
 	cpuprofile := global.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := global.String("memprofile", "", "write a heap profile taken at exit to this file")
-	vmstats := global.Bool("vmstats", false, "print tiered-VM dispatch coverage to stderr at exit")
 	global.Usage = usage
 	if err := global.Parse(args); err != nil {
 		return err
@@ -108,14 +107,6 @@ func run(args []string) error {
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-		}()
-	}
-	if *vmstats {
-		// Summed over every simulation the shared farm executed during
-		// this process: superinstruction coverage, the Tier A/B vs
-		// generic dispatch split, and two-state promotions.
-		defer func() {
-			fmt.Fprintln(os.Stderr, "vmstats:", simfarm.Default().Stats().VM)
 		}()
 	}
 	if *memprofile != "" {

@@ -104,13 +104,16 @@ func cmdServe(args []string) error {
 		fmt.Printf("llm4eda serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 	httpSrv := &http.Server{Handler: srv}
+	// The handler is in place before the banner: a client that signals as
+	// soon as it reads "listening on" must get a drain, not the default
+	// terminate-on-SIGTERM.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	fmt.Printf("llm4eda serve: listening on http://%s (POST /v1/jobs, GET /v1/stats, GET /v1/metrics)\n", ln.Addr())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	select {
 	case err := <-errCh:

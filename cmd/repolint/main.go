@@ -16,8 +16,7 @@
 //     reads (any use of the time package) in kernel files would leak
 //     nondeterminism into simulation results or their caching.
 //   - no-goroutine: kernel files must not spawn goroutines — scheduling
-//     belongs to the caller (simfarm) — except the documented
-//     parallelSweep combinational-cone fan-out.
+//     belongs to the caller (simfarm). There are no exceptions.
 //   - probe-guard: every call of the commit-probe field must sit under
 //     an `... .probe != nil` guard, keeping the zero-overhead-when-off
 //     contract (and nil safety) visible at each call site.
@@ -57,7 +56,7 @@ var hotFiles = map[string]bool{"vm.go": true, "eval.go": true, "value.go": true}
 // rules (the full simulation engine, excluding front-end and analysis).
 var kernelFiles = map[string]bool{
 	"vm.go": true, "eval.go": true, "value.go": true, "sim.go": true,
-	"interp.go": true, "super.go": true, "bytecode.go": true, "compile.go": true,
+	"interp.go": true, "bytecode.go": true, "compile.go": true,
 }
 
 // coldFunc reports whether a function in a hot file is an allowed cold
@@ -168,8 +167,8 @@ func lintFile(fset *token.FileSet, f *ast.File, base string) []finding {
 		stack = append(stack, n)
 		switch node := n.(type) {
 		case *ast.GoStmt:
-			if kernel && enclosingFunc() != "parallelSweep" {
-				report(node, "goroutine spawned in kernel file %s (only parallelSweep may fan out)", base)
+			if kernel {
+				report(node, "goroutine spawned in kernel file %s", base)
 			}
 		case *ast.SelectorExpr:
 			pkg, ok := node.X.(*ast.Ident)

@@ -43,6 +43,10 @@ func TestRulesFire(t *testing.T) {
 		{"goroutine", "eval.go",
 			"package v\nfunc eval() { go func() {}() }\n",
 			"goroutine spawned in kernel file"},
+		// No kernel function is exempt, whatever its name.
+		{"sweep", "sim.go",
+			"package v\nfunc (s *S) parallelSweep() { go func() {}() }\ntype S struct{}\n",
+			"goroutine spawned in kernel file"},
 		{"probe-unguarded", "sim.go",
 			"package v\ntype S struct{ probe func(int) }\nfunc (s *S) commit() { s.probe(1) }\n",
 			"without an enclosing"},
@@ -58,7 +62,7 @@ func TestRulesFire(t *testing.T) {
 }
 
 // The allowed shapes must stay allowed: fmt.Errorf and cold helpers on
-// hot files, parallelSweep's fan-out, and guarded probe calls.
+// hot files, and guarded probe calls.
 func TestAllowlists(t *testing.T) {
 	cases := []struct{ name, base, src string }{
 		{"errorf", "vm.go",
@@ -67,8 +71,6 @@ func TestAllowlists(t *testing.T) {
 			"package v\nimport \"fmt\"\nfunc FormatWords() string { return fmt.Sprintf(\"x\") }\n"},
 		{"fallback", "eval.go",
 			"package v\nimport \"fmt\"\nfunc execSysCall() { fmt.Fprintf(nil, \"x\") }\n"},
-		{"sweep", "sim.go",
-			"package v\nfunc (s *S) parallelSweep() { go func() {}() }\ntype S struct{}\n"},
 		{"guarded-probe", "sim.go",
 			"package v\ntype S struct{ probe func(int) }\nfunc (s *S) commit() { if s.probe != nil { s.probe(1) } }\n"},
 		{"non-kernel", "parser.go",

@@ -235,9 +235,9 @@ type Sample struct {
 
 // WriteFamily writes one complete counter/gauge family in exposition
 // format. It is the escape hatch for metrics whose source of truth
-// lives elsewhere (server atomics, FarmStats, VMStats, faultinject
-// counters): the caller harvests values at scrape time and this keeps
-// the formatting and escaping in one place.
+// lives elsewhere (server atomics, FarmStats, faultinject counters):
+// the caller harvests values at scrape time and this keeps the
+// formatting and escaping in one place.
 func WriteFamily(w io.Writer, name, help, kind string, samples ...Sample) {
 	writeHeader(w, name, help, kind)
 	for _, s := range samples {

@@ -79,13 +79,6 @@ type Farm struct {
 	lints       *lru
 	lintRejects atomic.Int64
 
-	// vm accumulates tiered-VM dispatch coverage over every simulation
-	// the farm actually executes (cache hits replay a prior run and add
-	// nothing). Guarded by its own mutex: per-run accumulation is one
-	// short critical section at simulation end, never on a cache probe.
-	vmMu sync.Mutex
-	vm   verilog.VMStats
-
 	// panics counts worker panics recovered in runJobCtx — each one a
 	// simulation that would have killed the process before PR 9.
 	panics atomic.Int64
@@ -131,8 +124,7 @@ func init() {
 	verilog.SetTestbenchCompiler(Default().CompileTestbench)
 }
 
-// FarmStats reports per-layer cache traffic plus the tiered-VM dispatch
-// coverage summed over every simulation the farm executed.
+// FarmStats reports per-layer cache traffic.
 type FarmStats struct {
 	Parses, Designs, Results Stats
 	// Lints is the static-analysis memo's traffic; LintRejects counts
@@ -143,7 +135,6 @@ type FarmStats struct {
 	// Panics counts worker panics recovered into Result.Err instead of
 	// crashing the process.
 	Panics int64
-	VM     verilog.VMStats
 }
 
 // Stats snapshots the farm's counters. The snapshot is lock-free (each
@@ -154,9 +145,6 @@ type FarmStats struct {
 // before/after deltas eda.Run records are taken at rest, where that
 // distinction vanishes.
 func (f *Farm) Stats() FarmStats {
-	f.vmMu.Lock()
-	vm := f.vm
-	f.vmMu.Unlock()
 	return FarmStats{
 		Parses:      f.parses.snapshot(),
 		Designs:     f.designs.snapshot(),
@@ -164,7 +152,6 @@ func (f *Farm) Stats() FarmStats {
 		Lints:       f.lints.snapshot(),
 		LintRejects: f.lintRejects.Load(),
 		Panics:      f.panics.Load(),
-		VM:          vm,
 	}
 }
 
@@ -187,7 +174,6 @@ func (s FarmStats) Delta(earlier FarmStats) FarmStats {
 		Lints:       s.Lints.delta(earlier.Lints),
 		LintRejects: s.LintRejects - earlier.LintRejects,
 		Panics:      s.Panics - earlier.Panics,
-		VM:          s.VM.Sub(earlier.VM),
 	}
 }
 
@@ -338,11 +324,6 @@ func (f *Farm) Run(cd *verilog.CompiledDesign, opts verilog.SimOptions) (*verilo
 	key := resultKey(cd.Hash, opts)
 	sr := f.results.getOrCompute(key, func() any {
 		res, err := cd.Run(opts)
-		if res != nil {
-			f.vmMu.Lock()
-			f.vm = f.vm.Add(res.VM)
-			f.vmMu.Unlock()
-		}
 		return &simResult{res: res, err: err}
 	}).(*simResult)
 	return sr.res, sr.err

@@ -167,9 +167,6 @@ const (
 	opStepConstStore // opStepConst + opStoreSig: charge; signal B (width C) = consts[A]
 	opStepCopy       // opStepLoadSig + opStoreSig: charge; signal B (width C) = signal A
 	opStepCopyNB     // opStepLoadSig + opStoreSigNB
-
-	// -- Tier A superinstructions (finish-time; see super.go) ------------
-	opSuper // run closure chain super[A]; on success pc = super[A].end
 )
 
 // cmp kinds for opBrCmpK (stored in D).
@@ -230,18 +227,6 @@ type Program struct {
 	// the activation-time legality check for sensitivity-free always
 	// blocks, precomputed here instead of re-walking the AST per run.
 	hasTiming bool
-
-	// super is the Tier A closure pool: each opSuper instruction indexes
-	// one synthesized basic-block closure chain (see super.go). Closures
-	// capture only the program's immutable pools and instruction
-	// operands — never simulator or design state — so programs stay
-	// shareable across concurrent Simulators and across designs.
-	super []superBlock
-	// nSuper/nFuseSkip are static fusion stats for VMStats: blocks
-	// synthesized, and fusion candidates dropped at branch-target
-	// boundaries (previously silent truncation).
-	nSuper    int32
-	nFuseSkip int32
 }
 
 // slotRef marks an operand that holds a persistent-slot index and must
@@ -273,23 +258,10 @@ type lowerer struct {
 	nslots   int
 	slots    []slotRef
 
-	// depths records the static loop depth of each emitted instruction
-	// (parallel to code; fusePairs rewrites in place, so positions never
-	// shift). fuseBlocks uses it as the profile guide: code inside loops
-	// — or in an always body, which re-runs per wake — is hot and fuses
-	// at a lower block-length threshold.
-	depths    []int8
-	loopDepth int8
-
 	// markScratch/deadScratch are pooled bool buffers for the fusion
 	// passes (branch-target marks and dead-slot flags).
 	markScratch []bool
 	deadScratch []bool
-	// pcScratch/specScratch are pooled buffers for superinstruction
-	// synthesis (fuseBlocks): live pc collection and the per-instruction
-	// two-state specialization verdicts.
-	pcScratch   []int
-	specScratch []bool
 
 	// line is the source line of the statement currently being lowered;
 	// expression-level error ops inherit it so runtime wrapping matches
@@ -312,8 +284,7 @@ func getLowerer(d *Design, sc scope, procedural bool) *lowerer {
 	lw.code = lw.code[:0]
 	lw.consts = lw.consts[:0]
 	lw.slots = lw.slots[:0]
-	lw.depths = lw.depths[:0]
-	lw.maxStack, lw.nslots, lw.line, lw.loopDepth = 0, 0, 0, 0
+	lw.maxStack, lw.nslots, lw.line = 0, 0, 0
 	if lw.litIntern == nil {
 		lw.litIntern = map[string]string{}
 	}
@@ -352,11 +323,6 @@ func lowerProcess(body Stmt, sc scope, d *Design, kind procKind, star bool, hasS
 	lw := getLowerer(d, sc, true)
 	defer putLowerer(lw)
 	lw.prog.hasTiming = containsTiming(body)
-	if kind != procInitial {
-		// An always body re-runs on every wake: its whole code is hot,
-		// so block fusion uses the in-loop threshold (see fuseBlocks).
-		lw.loopDepth = 1
-	}
 	lw.stmt(body)
 	switch {
 	case kind == procInitial:
@@ -381,9 +347,6 @@ func lowerContAssign(ca *contAssign, d *Design) *Program {
 	if cc, ok := ca.lhs.(*Concat); ok && !lw.staticConcatLHS(cc) {
 		return nil
 	}
-	// A continuous assign re-runs on every input change: hot, like an
-	// always body, for block-fusion purposes.
-	lw.loopDepth = 1
 	lw.expr(ca.rhs, 0)
 	lw.write(ca.lhs, 0, false, int32(ca.line))
 	lw.emit(opEnd, 0, 0, 0, 0, 0)
@@ -409,9 +372,6 @@ func (lw *lowerer) finish() {
 		lw.prog.consts = append(make([]Value, 0, len(lw.consts)), lw.consts...)
 	}
 	lw.prog.numRegs = lw.maxStack + lw.nslots
-	if enableSuper {
-		lw.fuseBlocks()
-	}
 }
 
 // resizeBools readies a pooled bool buffer of length n, cleared.
@@ -425,6 +385,11 @@ func resizeBools(buf []bool, n int) []bool {
 	}
 	return buf
 }
+
+// enableFusion gates the fusePairs peephole. Tests switch it off to get
+// the unfused reference engine; it is read at lowering time, so programs
+// keep the setting they were compiled under.
+var enableFusion = true
 
 // brCmpKinds maps a constant-RHS comparison opcode to its opBrCmpK kind.
 var brCmpKinds = map[OpCode]int32{
@@ -468,9 +433,6 @@ func (lw *lowerer) fusePairs() {
 	dead := lw.deadScratch
 	for i := 0; i+1 < len(code); i++ {
 		if isTarget[i+1] {
-			if pairFusible(&code[i], &code[i+1]) {
-				lw.prog.nFuseSkip++
-			}
 			continue
 		}
 		a, b := &code[i], &code[i+1]
@@ -511,13 +473,7 @@ func (lw *lowerer) fusePairs() {
 	// slot, not a branch target). The RHS register is dead past the
 	// store by construction, so the fused op never materializes it.
 	for i := 0; i+2 < len(code); i++ {
-		if dead[i] || dead[i+2] {
-			continue
-		}
-		if isTarget[i+1] || isTarget[i+2] {
-			if stmtFusible(&code[i], &code[i+2]) {
-				lw.prog.nFuseSkip++
-			}
+		if dead[i] || dead[i+2] || isTarget[i+1] || isTarget[i+2] {
 			continue
 		}
 		a, b := &code[i], &code[i+2]
@@ -535,38 +491,8 @@ func (lw *lowerer) fusePairs() {
 	}
 }
 
-// pairFusible reports whether a pass-1 pair pattern matches — used only
-// to count candidates a branch target blocked (VMStats.FuseSkipped).
-// Keep the conditions in sync with the fusePairs pass-1 switch.
-func pairFusible(a, b *Instr) bool {
-	switch {
-	case a.Op == opStep && (b.Op == opConst || b.Op == opLoadSig):
-		return true
-	case a.Op == opLoadSig && (b.Op == opLoadSig || b.Op == opBitSelK && b.A == a.A):
-		return true
-	case a.Op == opStoreSig && b.Op == opEnd:
-		return true
-	}
-	if _, ok := brCmpKinds[a.Op]; ok {
-		return b.Op == opBranchFalse && b.A == a.A
-	}
-	return false
-}
-
-// stmtFusible is pairFusible's pass-2 counterpart.
-func stmtFusible(a, b *Instr) bool {
-	switch a.Op {
-	case opStepConst:
-		return b.Op == opStoreSig && b.A == a.A
-	case opStepLoadSig:
-		return (b.Op == opStoreSig || b.Op == opStoreSigNB) && b.A == a.A
-	}
-	return false
-}
-
 func (lw *lowerer) emit(op OpCode, a, b, c, d, line int32) int {
 	lw.code = append(lw.code, Instr{Op: op, A: a, B: b, C: c, D: d, Line: line})
-	lw.depths = append(lw.depths, lw.loopDepth)
 	return len(lw.code) - 1
 }
 
@@ -689,28 +615,24 @@ func (lw *lowerer) stmt(st Stmt) {
 		lw.emit(opStep, 0, 0, 0, 0, line)
 		lw.stmt(n.Init)
 		lw.line = line
-		lw.loopDepth++ // test, body and step all re-run per iteration
 		test := lw.here()
 		lw.expr(n.Cond, 0)
 		br := lw.emit(opBranchFalse, 0, 0, 0, 0, line)
 		lw.stmt(n.Body)
 		lw.stmt(n.Step)
 		lw.emit(opJump, int32(test), 0, 0, 0, line)
-		lw.loopDepth--
 		lw.code[br].B = int32(lw.here())
 
 	case *WhileStmt:
 		lw.line = int32(n.Line)
 		line := lw.line
 		lw.emit(opStep, 0, 0, 0, 0, line)
-		lw.loopDepth++
 		test := lw.here()
 		lw.expr(n.Cond, 0)
 		br := lw.emit(opBranchFalse, 0, 0, 0, 0, line)
 		lw.stmt(n.Body)
 		lw.line = line
 		lw.emit(opJump, int32(test), 0, 0, 0, line)
-		lw.loopDepth--
 		lw.code[br].B = int32(lw.here())
 
 	case *RepeatStmt:
@@ -720,12 +642,10 @@ func (lw *lowerer) stmt(st Stmt) {
 		lw.expr(n.Count, 0)
 		init := lw.emit(opRepeatInit, 0, 0, 0, 0, line)
 		slot := lw.newSlot(init, 'B')
-		lw.loopDepth++
 		loop := lw.emit(opRepeatLoop, 0, 0, 0, 0, line)
 		lw.refSlot(loop, 'A', slot)
 		lw.stmt(n.Body)
 		lw.emit(opJump, int32(loop), 0, 0, 0, line)
-		lw.loopDepth--
 		lw.code[loop].B = int32(lw.here())
 
 	case *ForeverStmt:
@@ -736,11 +656,9 @@ func (lw *lowerer) stmt(st Stmt) {
 			lw.emitErrFinal("line %d: forever loop without timing control", n.Line)
 			return
 		}
-		lw.loopDepth++
 		top := lw.here()
 		lw.stmt(n.Body)
 		lw.emit(opJump, int32(top), 0, 0, 0, line)
-		lw.loopDepth--
 
 	case *DelayStmt:
 		lw.line = int32(n.Line)

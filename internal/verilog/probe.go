@@ -26,13 +26,7 @@ package verilog
 type ProbeFunc func(t uint64, sig SignalID, word int, line int32, v Value)
 
 // SetProbe attaches (or, with nil, detaches) a commit probe. Must be
-// called before Run. Attaching a probe forces serial combinational-cone
-// evaluation: the Tier C parallel sweep commits its replayed values
-// without per-assign line attribution, and the serial path is the one
-// whose commit order the golden suite pins down.
+// called before Run.
 func (s *Simulator) SetProbe(p ProbeFunc) {
 	s.probe = p
-	if p != nil {
-		s.coneWorkers = 1
-	}
 }

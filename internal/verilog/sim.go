@@ -67,9 +67,6 @@ type SimResult struct {
 	// stable MSW-first hex string; see FormatWords. Keyed by name like
 	// Final, so FormatSignals covers wide state too.
 	FinalMem map[string]string
-	// VM reports tiered-VM dispatch coverage for this run (debug
-	// observability; does not affect results).
-	VM VMStats
 }
 
 // Passed reports whether the run finished with all checks passing and at
@@ -103,7 +100,7 @@ func getValSlab(n int) []Value {
 	return s[:n]
 }
 
-// boolSlabPool recycles the per-run bool slab (caBusy + twoState).
+// boolSlabPool recycles the per-run caBusy slab.
 var boolSlabPool = sync.Pool{New: func() any { return []bool(nil) }}
 
 func getBoolSlab(n int) []bool {
@@ -252,33 +249,9 @@ type Simulator struct {
 	procRegs []Value
 	valSlab  []Value
 	// caBusy guards each compiled assign's register region against
-	// same-assign re-entry (see evalContAssign). It shares one pooled
-	// bool slab with twoState.
+	// same-assign re-entry (see evalContAssign). It lives on a pooled
+	// bool slab.
 	caBusy []bool
-	// twoState is the per-signal "proven two-state" latch (Tier B): set
-	// the first time a signal's word 0 commits with an empty Unknown
-	// mask, never cleared. The latch is a monotone pre-filter only —
-	// specialized superinstruction variants additionally check the live
-	// Unknown masks of their inputs at entry (twoStateGate), so a signal
-	// that later returns to X falls back to the general variant.
-	twoState []bool
-	boolSlab []bool
-
-	// coneVals is Tier C scratch: per-assign values computed by the
-	// parallel sweep workers before the deterministic commit replay.
-	coneVals    []Value
-	coneWorkers int
-
-	// caEv is the resident evaluator compiled continuous assigns run
-	// under; keeping it on the simulator (rather than on the stack of
-	// evalContAssign) avoids one heap allocation per evaluation, since
-	// superinstruction closures receive the evaluator through an
-	// indirect call and escape analysis gives it up.
-	caEv evaluator
-	// caEvID is the scopeID currently installed in caEv (-1: none).
-	// Assigns in the same instance share one scope map, so most wave
-	// evaluations skip the scope pointer write (and its GC barrier).
-	caEvID int32
 
 	watchers [][]watchRef // event-waiting processes, indexed by SignalID
 	// watchSweep is the per-signal list length that triggers a stale-ref
@@ -315,12 +288,6 @@ type Simulator struct {
 	// commitFull can attribute the transition without a signature change.
 	probe     ProbeFunc
 	probeLine int32
-
-	// Tiered-VM dispatch accounting (see VMStats).
-	nTierA   uint64 // instructions covered by general superinstructions
-	nTierB   uint64 // instructions covered by two-state variants
-	nGeneric uint64 // instructions dispatched by the generic switch
-	nPromote uint64 // two-state latch promotions this run
 }
 
 // NewSimulator prepares a simulator for one run over the design.
@@ -331,24 +298,18 @@ func NewSimulator(d *Design, opts SimOptions) *Simulator {
 	// they are read by construction of the lowering (expression stack
 	// discipline), so recycled contents are never observable.
 	slab := getValSlab(d.totalWords + d.caRegTotal + d.procRegTotal)
-	bools := getBoolSlab(len(d.assigns) + len(d.Signals))
 	s := &Simulator{
-		design:      d,
-		opts:        opts,
-		valSlab:     slab,
-		store:       slab[:d.totalWords],
-		caRegs:      slab[d.totalWords : d.totalWords+d.caRegTotal],
-		procRegs:    slab[d.totalWords+d.caRegTotal:],
-		boolSlab:    bools,
-		caBusy:      bools[:len(d.assigns)],
-		twoState:    bools[len(d.assigns):],
-		coneWorkers: coneWorkerCount(),
-		watchers:    make([][]watchRef, len(d.Signals)),
-		watchSweep:  make([]int32, len(d.Signals)),
-		rngState:    opts.Seed*2862933555777941757 + 3037000493,
+		design:     d,
+		opts:       opts,
+		valSlab:    slab,
+		store:      slab[:d.totalWords],
+		caRegs:     slab[d.totalWords : d.totalWords+d.caRegTotal],
+		procRegs:   slab[d.totalWords+d.caRegTotal:],
+		caBusy:     getBoolSlab(len(d.assigns)),
+		watchers:   make([][]watchRef, len(d.Signals)),
+		watchSweep: make([]int32, len(d.Signals)),
+		rngState:   opts.Seed*2862933555777941757 + 3037000493,
 	}
-	s.caEv.sim = s
-	s.caEvID = -1
 	for i := range s.watchSweep {
 		s.watchSweep[i] = watcherSweepMin
 	}
@@ -400,14 +361,6 @@ func (s *Simulator) Run() (*SimResult, error) {
 		EndTime:    s.now,
 		Final:      make(map[string]Value, len(s.design.Signals)),
 		FinalMem:   map[string]string{},
-		VM: VMStats{
-			SuperBlocks: int64(s.design.nSuper),
-			FuseSkipped: int64(s.design.nFuseSkip),
-			TierAOps:    int64(s.nTierA),
-			TierBOps:    int64(s.nTierB),
-			GenericOps:  int64(s.nGeneric),
-			Promotions:  int64(s.nPromote),
-		},
 	}
 	for _, sig := range s.design.Signals {
 		if sig.Words == 1 {
@@ -420,9 +373,8 @@ func (s *Simulator) Run() (*SimResult, error) {
 	// slab. The Simulator is documented single-use — drop the views so a
 	// misuse fails loudly instead of corrupting a later run's state.
 	valSlabPool.Put(s.valSlab)
-	boolSlabPool.Put(s.boolSlab)
-	s.valSlab, s.store, s.caRegs, s.procRegs = nil, nil, nil, nil
-	s.boolSlab, s.caBusy, s.twoState = nil, nil, nil
+	boolSlabPool.Put(s.caBusy)
+	s.valSlab, s.store, s.caRegs, s.procRegs, s.caBusy = nil, nil, nil, nil, nil
 	return res, nil
 }
 
@@ -591,10 +543,6 @@ func (s *Simulator) commitWrite(sig SignalID, word int, mask uint64, v Value) {
 	if word != 0 {
 		return // memory word writes have no sensitivity in the subset
 	}
-	if nw.Unknown == 0 && !s.twoState[sig] {
-		s.twoState[sig] = true
-		s.nPromote++
-	}
 	if len(s.design.sigAssigns[sig]) == 0 && len(s.watchers[sig]) == 0 {
 		// Unobservable transition: no continuous assign reads the signal
 		// and no process is waiting on it, so queueing it would only make
@@ -630,10 +578,6 @@ func (s *Simulator) commitFull(sig SignalID, off int32, v Value) {
 	if s.probe != nil {
 		s.probe(s.now, sig, 0, s.probeLine, v)
 	}
-	if v.Unknown == 0 && !s.twoState[sig] {
-		s.twoState[sig] = true
-		s.nPromote++
-	}
 	if len(s.design.sigAssigns[sig]) == 0 && len(s.watchers[sig]) == 0 {
 		return
 	}
@@ -646,7 +590,6 @@ func (s *Simulator) commitFull(sig SignalID, off int32, v Value) {
 
 // flush drains the change queue: waking matching event waiters and
 // re-evaluating dependent continuous assignments, in exact wave order.
-// Large independent fan-out batches take the Tier C parallel sweep.
 func (s *Simulator) flush() {
 	s.flushing = true
 	deltas := 0
@@ -654,17 +597,16 @@ func (s *Simulator) flush() {
 		c := s.changed[s.changedHead]
 		s.changedHead++
 		s.wakeWatchers(c)
-		list := s.design.sigAssigns[c.sig]
-		if len(list) >= coneParMin && s.coneWorkers > 1 && s.design.parSweep[c.sig] {
-			if !s.parallelSweep(list, &deltas) {
-				return // delta overflow: state already reset
-			}
-			continue
-		}
-		for _, idx := range list {
+		for _, idx := range s.design.sigAssigns[c.sig] {
 			deltas++
 			if deltas > s.opts.MaxDeltas {
-				s.deltaOverflow(int(idx))
+				if s.rtErr == nil {
+					s.rtErr = fmt.Errorf("verilog: combinational loop detected near line %d (delta limit %d)",
+						s.design.assigns[idx].line, s.opts.MaxDeltas)
+				}
+				s.changed = s.changed[:0]
+				s.changedHead = 0
+				s.flushing = false
 				return
 			}
 			s.evalContAssign(int(idx)) // may append to s.changed
@@ -673,77 +615,6 @@ func (s *Simulator) flush() {
 	s.changed = s.changed[:0]
 	s.changedHead = 0
 	s.flushing = false
-}
-
-// deltaOverflow reports a combinational loop and resets the wave state.
-func (s *Simulator) deltaOverflow(idx int) {
-	if s.rtErr == nil {
-		s.rtErr = fmt.Errorf("verilog: combinational loop detected near line %d (delta limit %d)",
-			s.design.assigns[idx].line, s.opts.MaxDeltas)
-	}
-	s.changed = s.changed[:0]
-	s.changedHead = 0
-	s.flushing = false
-}
-
-// coneParMin is the fan-out batch size below which the parallel sweep
-// is not worth its synchronization cost.
-const coneParMin = 64
-
-// parallelSweep evaluates one signal's dependent-assign batch on a
-// bounded worker set (Tier C). Eligibility was proven at elaboration
-// (design.parSweep): every assign in the batch is a specialized fast
-// shape and no assign reads any batch member's destination, so the
-// evaluation phase is a pure function of the pre-sweep store. Workers
-// only compute values; all commits replay on the simulator goroutine
-// in exact wave-list order, making the result byte-identical to the
-// sequential sweep regardless of scheduling. Returns false on delta
-// overflow (wave state already reset).
-func (s *Simulator) parallelSweep(list []int32, deltas *int) bool {
-	n := len(list)
-	if cap(s.coneVals) < n {
-		s.coneVals = make([]Value, n)
-	}
-	vals := s.coneVals[:n]
-	assigns := s.design.assigns
-	workers := s.coneWorkers
-	if workers > n/16 {
-		workers = n / 16 // keep at least 16 evaluations per worker
-		if workers < 2 {
-			workers = 2
-		}
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f := &assigns[list[i]].fast
-				vals[i] = s.caFastValue(f).Resize(f.dstWidth)
-			}
-		}(lo, hi)
-	}
-	for i := 0; i < chunk && i < n; i++ { // first chunk on this goroutine
-		f := &assigns[list[i]].fast
-		vals[i] = s.caFastValue(f).Resize(f.dstWidth)
-	}
-	wg.Wait()
-	for i, idx := range list {
-		*deltas++
-		if *deltas > s.opts.MaxDeltas {
-			s.deltaOverflow(int(idx))
-			return false
-		}
-		f := &assigns[idx].fast
-		s.commitFull(f.dst, f.dstOff, vals[i])
-	}
-	return true
 }
 
 // wakeWatchers moves event-waiting processes whose edge matches onto the
@@ -812,18 +683,8 @@ func (s *Simulator) evalContAssign(idx int) {
 		} else {
 			s.caBusy[idx] = true
 		}
-		// The simulator-resident evaluator avoids a per-evaluation heap
-		// allocation: passing a stack evaluator into vmRun escapes now
-		// that superinstruction closures receive it through an indirect
-		// call. Nested re-evaluations restore the outer scope on return.
-		oldScope, oldID := s.caEv.scope, s.caEvID
-		if oldID != ca.scopeID {
-			s.caEv.scope, s.caEvID = ca.scope, ca.scopeID
-		}
-		_, err := vmRun(s, prog, regs, nil, &s.caEv, 0)
-		if oldID != ca.scopeID {
-			s.caEv.scope, s.caEvID = oldScope, oldID
-		}
+		ev := evaluator{sim: s, scope: ca.scope}
+		_, err := vmRun(s, prog, regs, nil, &ev, 0)
 		if !nested {
 			s.caBusy[idx] = false
 		}
@@ -850,9 +711,7 @@ func (s *Simulator) evalContAssign(idx int) {
 }
 
 // caFastValue computes one specialized continuous-assign shape from the
-// current store. Pure: reads the store, touches no other simulator
-// state, so Tier C workers may call it concurrently during the
-// evaluation phase of a parallel sweep.
+// current store.
 func (s *Simulator) caFastValue(f *caFast) Value {
 	switch f.kind {
 	case caFastCopy:

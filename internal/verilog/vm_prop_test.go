@@ -277,24 +277,24 @@ endmodule`
 	}
 }
 
-// withTierConfig runs fn under a forced tiered-VM configuration,
-// restoring the defaults afterwards. Programs compiled inside fn carry
-// the configuration permanently (fusion and superinstruction synthesis
-// happen at lowering), so fn must compile everything it runs.
-func withTierConfig(fusion, super, twoState bool, fn func()) {
-	oldF, oldS, oldT := enableFusion, enableSuper, enableTwoState
-	enableFusion, enableSuper, enableTwoState = fusion, super, twoState
-	defer func() { enableFusion, enableSuper, enableTwoState = oldF, oldS, oldT }()
+// withFusion runs fn with the fusePairs peephole forced on or off,
+// restoring the default afterwards. Programs compiled inside fn carry the
+// setting permanently (fusion happens at lowering), so fn must compile
+// everything it runs.
+func withFusion(on bool, fn func()) {
+	old := enableFusion
+	enableFusion = on
+	defer func() { enableFusion = old }()
 	fn()
 }
 
-// genTierSource builds one random self-contained testbench whose hot
-// paths land on every tier surface: straight-line always bodies (Tier A
-// statement templates), constant-seeded then $random-perturbed counters
-// (Tier B promotion and fallback), a small continuous-assign cone, an
+// genFusionSource builds one random self-contained testbench whose hot
+// paths land on the fused opcodes: straight-line statements in loops and
+// always bodies, constant-compare loop tests, constant-seeded then
+// $random-perturbed counters, a small continuous-assign cone, an
 // uninitialized register so X actually flows through fused arithmetic,
 // and interleaved $display so the output stream pins evaluation order.
-func genTierSource(rng *rand.Rand) string {
+func genFusionSource(rng *rand.Rand) string {
 	var b strings.Builder
 	ops := []string{"+", "-", "*", "&", "|", "^"}
 	b.WriteString("module tb;\n")
@@ -315,7 +315,7 @@ func genTierSource(rng *rand.Rand) string {
 	b.WriteString("  initial begin\n")
 	b.WriteString("    clk = 0; rst = 1; a = 1; acc = 0;\n")
 	fmt.Fprintf(&b, "    x = %d;\n", rng.Intn(1<<16))
-	// y stays uninitialized here: the w0/w1 cone and any fused block
+	// y stays uninitialized here: the w0/w1 cone and any fused opcode
 	// reading y must take the X path until the loop assigns it.
 	b.WriteString("    #4 rst = 0;\n")
 	n := 32 + rng.Intn(96)
@@ -351,14 +351,30 @@ func genTierSource(rng *rand.Rand) string {
 	return b.String()
 }
 
-// tierFingerprint compiles src fresh (so the active tier configuration
-// is baked into the programs) and renders everything observable about
-// the run as one string.
-func tierFingerprint(t *testing.T, src string, seed uint64) (string, VMStats) {
+// fusionFingerprint compiles src fresh (so the active fusion setting is
+// baked into the programs) and renders everything observable about the
+// run as one string. It also counts the fused opcodes in the compiled
+// programs, by opcode.
+func fusionFingerprint(t *testing.T, src string, seed uint64, fused map[OpCode]int) string {
 	t.Helper()
 	cd, err := Compile(src, "tb")
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
+	}
+	count := func(p *Program) {
+		for _, ins := range p.code {
+			if ins.Op >= opStepConst && ins.Op <= opStepCopyNB { // the fusePairs opcodes
+				fused[ins.Op]++
+			}
+		}
+	}
+	for _, pr := range cd.Design.procs {
+		count(pr.prog)
+	}
+	for _, ca := range cd.Design.assigns {
+		if ca.prog != nil {
+			count(ca.prog)
+		}
 	}
 	res, err := cd.Run(SimOptions{Seed: seed})
 	if err != nil {
@@ -370,51 +386,38 @@ func tierFingerprint(t *testing.T, src string, seed uint64) (string, VMStats) {
 	}
 	return fmt.Sprintf("out=%q checks=%d fails=%d fin=%v to=%v end=%d rt=%q finals=%q",
 		res.Output, res.Checks, res.Failures, res.Finished, res.TimedOut,
-		res.EndTime, rt, FormatSignals(res, "tb.")), res.VM
+		res.EndTime, rt, FormatSignals(res, "tb."))
 }
 
-// TestTierConfigsAreObservationallyIdentical is the tiered-VM soundness
-// property: for random testbenches, every kill-switch configuration —
-// superinstructions off, two-state specialization off, the whole
-// peephole off — must produce a byte-identical simulation to the
-// default fully-tiered engine: same output stream, same $random draw
-// order, same final signal state, same termination.
-func TestTierConfigsAreObservationallyIdentical(t *testing.T) {
+// TestFusionIsObservationallyIdentical is the peephole's soundness
+// property: for random testbenches, the engine with fusePairs off must
+// produce a byte-identical simulation to the default fused engine: same
+// output stream, same $random draw order, same final signal state, same
+// termination.
+func TestFusionIsObservationallyIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	configs := []struct {
-		name                    string
-		fusion, super, twoState bool
-	}{
-		{"noSuper", true, false, false},
-		{"noTwoState", true, true, false},
-		{"noFusion", false, false, false},
-	}
 	const sources = 25
-	var cover VMStats
+	fusedOn, fusedOff := map[OpCode]int{}, map[OpCode]int{}
 	for sIdx := 0; sIdx < sources; sIdx++ {
-		src := genTierSource(rng)
+		src := genFusionSource(rng)
 		seed := uint64(rng.Intn(1 << 30))
-		var want string
-		withTierConfig(true, true, true, func() {
-			var vm VMStats
-			want, vm = tierFingerprint(t, src, seed)
-			cover = cover.Add(vm)
-		})
-		for _, cfg := range configs {
-			var got string
-			withTierConfig(cfg.fusion, cfg.super, cfg.twoState, func() {
-				got, _ = tierFingerprint(t, src, seed)
-			})
-			if got != want {
-				t.Fatalf("source %d: config %s diverged\n want %s\n  got %s\nsource:\n%s",
-					sIdx, cfg.name, want, got, src)
-			}
+		var want, got string
+		withFusion(true, func() { want = fusionFingerprint(t, src, seed, fusedOn) })
+		withFusion(false, func() { got = fusionFingerprint(t, src, seed, fusedOff) })
+		if got != want {
+			t.Fatalf("source %d: fusion off diverged\n want %s\n  got %s\nsource:\n%s",
+				sIdx, want, got, src)
 		}
 	}
-	// The property is only meaningful if the corpus actually drove the
-	// tiers: superinstructions synthesized, both the Tier A and the
-	// specialized Tier B variants dispatched, signals promoted.
-	if cover.SuperBlocks == 0 || cover.TierAOps == 0 || cover.TierBOps == 0 || cover.Promotions == 0 {
-		t.Fatalf("tier coverage vacuous over corpus: %s", cover)
+	// The property is only meaningful if the corpus actually fused: the
+	// fused engine's programs must carry each of these opcodes (both
+	// peephole passes), and the reference engine's none at all.
+	for _, op := range []OpCode{opStepConst, opStepLoadSig, opLoadSig2, opBrCmpK, opStepConstStore} {
+		if fusedOn[op] == 0 {
+			t.Errorf("corpus compiled with fusion on has no opcode %d: fusion stopped firing (fused: %v)", op, fusedOn)
+		}
+	}
+	if len(fusedOff) != 0 {
+		t.Errorf("corpus compiled with fusion off still has fused opcodes: %v", fusedOff)
 	}
 }
