@@ -44,7 +44,7 @@ test-short:
 # receive from worker goroutines), the simulator kernel (its bound-
 # body memo and compiled designs are shared across concurrent runs), the
 # cross-level debugger (its cosimulation fan-out runs on the farm), and
-# the job service (queue shards, SSE broadcasters and the report store
+# the job service (its queue, SSE broadcasters and the report store
 # all cross goroutines), and the lint layer (its memo is shared by every
 # screened farm job).
 test-race:

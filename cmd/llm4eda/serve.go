@@ -27,7 +27,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8372", "listen address")
-	workers := fs.Int("workers", 0, "job-queue worker shards (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "job-queue workers (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued-job bound before 429 backpressure (0 = default 64)")
 	reports := fs.Int("reports", 0, "content-addressed report-store entries (0 = default 256)")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"llm4eda/eda"
+	"llm4eda/internal/edaserver"
 	"llm4eda/internal/simfarm"
 )
 
@@ -103,35 +104,9 @@ func (j *Job) DecodeReport() (*Report, error) {
 // reports it (the same type the eda.ReportWire carries as Cache).
 type FarmStats = simfarm.FarmStats
 
-// Stats mirrors the server's /v1/stats reply.
-type Stats struct {
-	Workers    int            `json:"workers"`
-	QueueDepth int            `json:"queue_depth"`
-	Draining   bool           `json:"draining,omitempty"`
-	JobStates  map[string]int `json:"job_states"`
-	Submitted  uint64         `json:"submitted"`
-	Completed  uint64         `json:"completed"`
-	Failed     uint64         `json:"failed"`
-	Cancelled  uint64         `json:"cancelled"`
-	Rejected   uint64         `json:"rejected"`
-	// Resilience counters: recovered pipeline panics, watchdog-cancelled
-	// wedged jobs, absorbed transient retries, failed report-store writes,
-	// and replay-ring evictions summed over retained jobs.
-	Panics        uint64 `json:"panics,omitempty"`
-	WatchdogKills uint64 `json:"watchdog_kills,omitempty"`
-	Retries       uint64 `json:"retries,omitempty"`
-	StoreFails    uint64 `json:"store_fails,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// Queue-wait distribution over finished jobs (enqueue→worker-pop).
-	QueueWaitP50MS float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
-	ReportCache    struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-		Len    int    `json:"len"`
-	} `json:"report_cache"`
-	Farm FarmStats `json:"farm"`
-}
+// Stats is the server's /v1/stats reply — the exact type the server
+// encodes, so server and client can never drift.
+type Stats = edaserver.StatsReply
 
 // APIError is a non-2xx server reply.
 type APIError struct {

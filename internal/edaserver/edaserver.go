@@ -11,11 +11,12 @@
 //	GET    /v1/stats            queue depth, job counters, report-cache
 //	                            and simfarm cache traffic
 //
-// Jobs land on a bounded queue sharded by the spec's content key, so
-// identical specs serialize on one worker in submission order while
-// distinct specs run in parallel; a full queue (the bound is global
-// across shards) rejects with 429 and Retry-After (backpressure, never
-// unbounded buffering). Every job runs
+// Jobs land on one bounded FIFO queue drained by a pool of workers. A
+// worker takes the oldest queued job whose content key is not already
+// running, so identical specs run one at a time in submission order while
+// a distinct spec never waits for a free worker; a full queue rejects
+// with 429 and Retry-After (backpressure, never unbounded buffering).
+// Every job runs
 // through eda.Run against the one process-wide simfarm.Farm, so identical
 // candidate designs compiled by different requests hit the design/result
 // caches across requests; on top of that sits an LRU-bounded
@@ -36,6 +37,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,12 +52,11 @@ import (
 // Options configure one Server. Zero values select defaults sized for a
 // single-host deployment.
 type Options struct {
-	// Workers is the number of queue shards, each drained by one worker
-	// goroutine (default GOMAXPROCS). A job's shard is chosen by its
-	// spec's content key, so identical specs keep submission order.
+	// Workers is the number of worker goroutines draining the job queue
+	// (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds queued-but-unstarted jobs across all shards
-	// (default 64). Submissions beyond it are rejected with 429.
+	// QueueDepth bounds queued-but-unstarted jobs (default 64).
+	// Submissions beyond it are rejected with 429.
 	QueueDepth int
 	// ReportCap bounds the content-addressed report store (default 256).
 	ReportCap int
@@ -134,23 +135,21 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// intakeMu orders submissions against drain: enqueue sends under
-	// RLock after checking draining, Shutdown flips draining and closes
-	// the shard channels under Lock, so no send can race a close.
-	intakeMu sync.RWMutex
-	draining bool
-	shards   []chan *job
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 
-	// queued counts jobs accepted onto the shards but not yet popped by
-	// a worker — the global QueueDepth bound and the /v1/stats depth.
-	queued atomic.Int64
-
-	// mu guards the job table. Lock ordering: mu before job.mu.
+	// mu guards the job table and the queue. Lock ordering: mu before
+	// job.mu.
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for finished-job eviction
 	seq   uint64
+	// queue holds the queued jobs, oldest first; running holds the content
+	// keys of the jobs workers have taken and not yet finished. work wakes
+	// idle workers when a job is queued or draining starts.
+	queue    []*job
+	running  map[string]bool
+	work     *sync.Cond
+	draining bool
 
 	store *reportStore
 
@@ -184,19 +183,16 @@ func New(opts Options) *Server {
 		opts:    opts,
 		mux:     http.NewServeMux(),
 		jobs:    make(map[string]*job),
+		running: make(map[string]bool),
 		store:   newReportStore(opts.ReportCap),
 		metrics: newServerMetrics(opts.Metrics),
 		log:     opts.Log,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Every shard can buffer the full global bound: the bound itself is
-	// enforced by the queued counter, so a hot content key (all jobs on
-	// one shard) still gets the whole advertised QueueDepth.
-	s.shards = make([]chan *job, opts.Workers)
-	for i := range s.shards {
-		s.shards[i] = make(chan *job, opts.QueueDepth)
-		s.wg.Add(1)
-		go s.worker(s.shards[i])
+	s.work = sync.NewCond(&s.mu)
+	s.wg.Add(opts.Workers)
+	for range opts.Workers {
+		go s.worker()
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -220,15 +216,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ctx.Err(). A drained server returns nil and stays mounted: reads keep
 // working, writes stay rejected.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.intakeMu.Lock()
-	first := !s.draining
+	s.mu.Lock()
 	s.draining = true
-	if first {
-		for _, sh := range s.shards {
-			close(sh)
-		}
+	swept := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	s.work.Broadcast()
+	// A DELETE may end one of these first; finish keeps its outcome.
+	for _, jb := range swept {
+		s.finish(jb, stateCancelled, nil, false, "server shut down before the job started",
+			eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
+				Detail: "job cancelled: server shutting down"})
 	}
-	s.intakeMu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
@@ -245,93 +244,56 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-func (s *Server) isDraining() bool {
-	s.intakeMu.RLock()
-	defer s.intakeMu.RUnlock()
-	return s.draining
-}
-
 var (
 	errQueueFull = errors.New("edaserver: job queue full")
 	errDraining  = errors.New("edaserver: server is shutting down")
 )
 
-// enqueue places a queued job on its content-key shard without blocking.
-// The QueueDepth bound is global across shards (reserve-then-send on the
-// queued counter); each shard channel is sized to hold the full bound,
-// so the select's default arm is unreachable in practice and exists only
-// as a safety net.
-func (s *Server) enqueue(jb *job) error {
-	s.intakeMu.RLock()
-	defer s.intakeMu.RUnlock()
-	if s.draining {
-		return errDraining
-	}
-	if s.queued.Add(1) > int64(s.opts.QueueDepth) {
-		s.queued.Add(-1)
-		return errQueueFull
-	}
-	// Mark the reservation before the send: once the job is in the
-	// channel a worker may pop it at any moment and must find the slot
-	// marked so it releases exactly once. The same stamp starts the
-	// queue-wait clock the pop (or a queued-state cancel) stops.
-	jb.mu.Lock()
-	jb.queuedSlot = true
-	jb.enqueued = time.Now()
-	jb.mu.Unlock()
-	select {
-	case s.shards[shardOf(jb.key, len(s.shards))] <- jb:
-		return nil
-	default:
-		jb.mu.Lock()
-		jb.queuedSlot = false
-		jb.mu.Unlock()
-		s.queued.Add(-1)
-		return errQueueFull
-	}
-}
-
-// releaseSlotLocked returns the job's QueueDepth reservation, once.
-// Callers hold jb.mu.
-func (s *Server) releaseSlotLocked(jb *job) {
-	if jb.queuedSlot {
-		jb.queuedSlot = false
-		s.queued.Add(-1)
-	}
-}
-
-func (s *Server) worker(ch chan *job) {
+// worker runs queued jobs until the server drains.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	for jb := range ch {
+	for jb := s.next(); jb != nil; jb = s.next() {
 		s.runJob(jb)
+		// The store write is done, so a queued duplicate taken next finds
+		// the report at its pop-time probe. This worker's own next call
+		// looks for that duplicate, so no other worker needs waking.
+		s.mu.Lock()
+		delete(s.running, jb.key)
+		s.mu.Unlock()
 	}
+}
+
+// next takes the oldest queued job whose content key is not running and
+// marks the key running, waiting while there is none; nil once the server
+// drains (Shutdown has emptied the queue by then).
+func (s *Server) next() *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.draining {
+		for i, jb := range s.queue {
+			if !s.running[jb.key] {
+				s.queue = slices.Delete(s.queue, i, i+1)
+				s.running[jb.key] = true
+				return jb
+			}
+		}
+		s.work.Wait()
+	}
+	return nil
 }
 
 // runJob drives one popped job to a terminal state.
 func (s *Server) runJob(jb *job) {
 	jb.mu.Lock()
-	s.releaseSlotLocked(jb)
 	if jb.state != stateQueued {
-		// Cancelled while queued; the cancel path already finalized it.
+		// A DELETE ended the job between the pop and here.
 		jb.mu.Unlock()
 		return
 	}
-	// The pop ends the queue wait (lock order: jb.mu, then the spans
-	// lock inside Record — same direction as status()).
-	jb.queueWait = time.Since(jb.enqueued)
-	jb.spans.Record(obs.PhaseQueueWait, jb.queueWait)
-	if s.isDraining() {
-		jb.finishLocked(stateCancelled, nil, false, "server shut down before the job started")
-		jb.mu.Unlock()
-		s.cancelled.Add(1)
-		s.jobFinished(jb, stateCancelled, false)
-		jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
-			Detail: "job cancelled: server shutting down"})
-		jb.events.close()
-		return
-	}
+	jb.endWaitLocked()
 	// Pop-time dedup: an identical job queued ahead of us (same content
-	// key, therefore same shard) may have completed while we waited.
+	// key, so it finished before we could be taken) may have stored its
+	// report while we waited.
 	if e, ok := s.store.peek(jb.key); ok {
 		jb.mu.Unlock()
 		s.completeFromCache(jb, e)
@@ -359,9 +321,7 @@ func (s *Server) runJob(jb *job) {
 	cancel()
 
 	var reportJSON []byte
-	var reportOK bool
 	if report != nil {
-		reportOK = report.OK
 		if b, jerr := report.JSON(); jerr == nil {
 			reportJSON = b
 		} else if err == nil {
@@ -375,48 +335,62 @@ func (s *Server) runJob(jb *job) {
 	}
 	jb.mu.Lock()
 	wedged, wedgeIdle, userCancel := jb.wedged, jb.wedgeIdle, jb.userCancel
+	jb.mu.Unlock()
+	cancelled := errors.Is(err, context.Canceled)
 	switch {
 	case err == nil && reportJSON != nil:
-		jb.finishLocked(stateDone, reportJSON, false, "")
-		jb.mu.Unlock()
 		// The store write is part of the job's span breakdown, so it
 		// happens before the terminal fold into the aggregate histograms.
-		s.storeReport(jb, &reportEntry{json: reportJSON, ok: reportOK, summary: report.Summary})
-		s.completed.Add(1)
-		s.jobFinished(jb, stateDone, false)
-	case errors.Is(err, context.Canceled) && userCancel:
-		// The client's DELETE wins even when the watchdog raced it.
-		jb.finishLocked(stateCancelled, reportJSON, false, err.Error())
-		jb.mu.Unlock()
-		s.cancelled.Add(1)
-		s.jobFinished(jb, stateCancelled, false)
-	case wedged && err != nil:
+		s.storeReport(jb, &reportEntry{json: reportJSON, ok: report.OK, summary: report.Summary})
+		s.finish(jb, stateDone, reportJSON, false, "")
+	case wedged && err != nil && !(cancelled && userCancel):
 		// The watchdog cancelled a stalled run: terminally failed, with
 		// the structured staleness detail, not "cancelled" — nobody asked
-		// for this job to stop, it stopped responding.
+		// for this job to stop, it stopped responding. The client's DELETE
+		// still wins when it raced the watchdog.
 		werr := &WedgeError{Idle: wedgeIdle, Window: s.opts.Watchdog}
-		jb.finishLocked(stateFailed, reportJSON, false, werr.Error())
-		jb.mu.Unlock()
-		s.failed.Add(1)
 		s.watchdogKills.Add(1)
 		s.log.Warn("watchdog killed wedged job", "job", jb.id, "idle", wedgeIdle)
-		s.jobFinished(jb, stateFailed, false)
-	case errors.Is(err, context.Canceled):
+		s.finish(jb, stateFailed, reportJSON, false, werr.Error())
+	case cancelled:
 		// Client DELETE or forced shutdown; a partial report still
 		// travels with the terminal status when the pipeline made one.
-		jb.finishLocked(stateCancelled, reportJSON, false, err.Error())
-		jb.mu.Unlock()
-		s.cancelled.Add(1)
-		s.jobFinished(jb, stateCancelled, false)
+		s.finish(jb, stateCancelled, reportJSON, false, err.Error())
 	default:
 		detail := "pipeline returned no report"
 		if err != nil {
 			detail = err.Error()
 		}
-		jb.finishLocked(stateFailed, reportJSON, false, detail)
+		s.finish(jb, stateFailed, reportJSON, false, detail)
+	}
+}
+
+// finish is the one terminal transition. The first caller moves the job
+// to state and bumps the matching counter under jb.mu, so a reader that
+// sees the state also sees the count; every later caller (a DELETE that
+// raced the shutdown sweep or a worker's pop-time store probe) is a
+// no-op. It then folds the job into the aggregate telemetry, emits the
+// notes and closes the event stream.
+func (s *Server) finish(jb *job, state string, reportJSON []byte, cached bool, detail string, notes ...eda.Event) {
+	jb.mu.Lock()
+	if jb.state != stateQueued && jb.state != stateRunning {
 		jb.mu.Unlock()
+		return
+	}
+	jb.endWaitLocked() // a job ending while queued: the time it sat there is real wait
+	jb.state, jb.reportJSON, jb.cached, jb.errDetail, jb.cancel = state, reportJSON, cached, detail, nil
+	switch state {
+	case stateDone:
+		s.completed.Add(1)
+	case stateFailed:
 		s.failed.Add(1)
-		s.jobFinished(jb, stateFailed, false)
+	default:
+		s.cancelled.Add(1)
+	}
+	jb.mu.Unlock()
+	s.jobFinished(jb, state, cached)
+	for _, ev := range notes {
+		jb.events.Emit(ev)
 	}
 	jb.events.close()
 }
@@ -541,29 +515,27 @@ func (s *Server) watchdog(jb *job, cancel context.CancelFunc, stop <-chan struct
 // the original run produced, so concurrent identical submissions observe
 // byte-identical reports.
 func (s *Server) completeFromCache(jb *job, e *reportEntry) {
-	jb.mu.Lock()
-	if jb.state != stateQueued {
-		// A cancel won the race between the store probe and completion;
-		// leave the terminal state it set.
-		jb.mu.Unlock()
-		return
-	}
-	jb.finishLocked(stateDone, e.json, true, "")
-	jb.mu.Unlock()
-	s.completed.Add(1)
-	s.jobFinished(jb, stateDone, true)
-	jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
-		Detail: "report served from the cross-request report cache"})
-	jb.events.Emit(eda.Event{Kind: eda.EventRunEnd, Framework: jb.spec.Framework,
-		OK: e.ok, Detail: e.summary})
-	jb.events.close()
+	s.finish(jb, stateDone, e.json, true, "",
+		eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
+			Detail: "report served from the cross-request report cache"},
+		eda.Event{Kind: eda.EventRunEnd, Framework: jb.spec.Framework, OK: e.ok, Detail: e.summary})
 }
 
-// newJob registers a fresh queued job, evicting the oldest finished jobs
-// past JobCap.
-func (s *Server) newJob(spec eda.Spec, key string) *job {
+// newJob registers and counts a submitted job for a validated spec,
+// evicting the oldest finished jobs past JobCap. A job bound for the
+// queue (enqueue true) is admitted first: while draining or with the
+// queue full it is rejected before it enters the job table. The
+// registration note is emitted before mu is released, so it precedes any
+// event of a worker that takes the job.
+func (s *Server) newJob(spec eda.Spec, key string, enqueue bool) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if enqueue && s.draining {
+		return nil, errDraining
+	}
+	if enqueue && len(s.queue) >= s.opts.QueueDepth {
+		return nil, errQueueFull
+	}
 	s.seq++
 	jb := &job{
 		id:      fmt.Sprintf("j%08d", s.seq),
@@ -574,16 +546,15 @@ func (s *Server) newJob(spec eda.Spec, key string) *job {
 		events:  newBroadcaster(s.opts.EventHistory),
 		spans:   obs.NewSpans(obs.JobPhases()...),
 	}
+	jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: spec.Framework,
+		Detail: "job " + jb.id + " queued"})
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
+	s.submitted.Add(1)
 	if len(s.jobs) > s.opts.JobCap {
 		kept := s.order[:0]
 		for _, id := range s.order {
-			old := s.jobs[id]
-			if old == nil {
-				continue // unregistered (rejected submission): drop the stale id
-			}
-			if len(s.jobs) > s.opts.JobCap && old.terminal() {
+			if len(s.jobs) > s.opts.JobCap && s.jobs[id].terminal() {
 				delete(s.jobs, id)
 				continue
 			}
@@ -591,34 +562,16 @@ func (s *Server) newJob(spec eda.Spec, key string) *job {
 		}
 		s.order = kept
 	}
-	return jb
-}
-
-// unregister drops a job that never made it onto the queue. Rejected
-// submissions are the most recent registrations, so the backward scan
-// of the order slice finds them in O(1) typically.
-func (s *Server) unregister(jb *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, jb.id)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == jb.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
+	if enqueue {
+		jb.enqueued = time.Now() // starts the queue-wait clock
+		s.queue = append(s.queue, jb)
+		s.work.Signal()
 	}
+	return jb, nil
 }
 
 func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-// queueDepth reports the queued-but-unstarted jobs across all shards.
-func (s *Server) queueDepth() int {
-	if n := s.queued.Load(); n > 0 {
-		return int(n)
-	}
-	return 0
 }

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
+	"slices"
 
 	"llm4eda/eda"
 	"llm4eda/internal/faultinject"
-	"llm4eda/internal/obs"
 	"llm4eda/internal/simfarm"
 )
 
@@ -153,29 +152,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := contentKey(spec)
-	jb := s.newJob(spec, key)
-	s.submitted.Add(1)
-	jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: spec.Framework,
-		Detail: "job " + jb.id + " queued"})
-
 	// Submission-time dedup: an identical completed run answers
-	// immediately, without consuming queue capacity.
-	if e, ok := s.store.get(key); ok {
-		s.log.Debug("job answered from report cache", "job", jb.id, "key", key)
-		s.completeFromCache(jb, e)
-		writeJSON(w, http.StatusOK, jb.status())
-		return
-	}
-	if err := s.enqueue(jb); err != nil {
-		s.unregister(jb)
+	// immediately, without consuming queue capacity (even while draining).
+	e, cached := s.store.get(key)
+	jb, err := s.newJob(spec, key, !cached)
+	if err != nil {
 		s.rejected.Add(1)
-		s.log.Warn("job rejected", "job", jb.id, "framework", spec.Framework, "err", err)
+		s.log.Warn("job rejected", "framework", spec.Framework, "err", err)
 		if errors.Is(err, errDraining) {
 			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		}
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "job queue full, retry later")
+		return
+	}
+	if cached {
+		s.log.Debug("job answered from report cache", "job", jb.id, "key", key)
+		s.completeFromCache(jb, e)
+		writeJSON(w, http.StatusOK, jb.status())
 		return
 	}
 	s.log.Debug("job queued", "job", jb.id, "framework", spec.Framework, "key", key)
@@ -192,7 +187,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	jb := s.lookup(r.PathValue("id"))
+	s.mu.Lock()
+	jb := s.jobs[r.PathValue("id")]
+	// Leaving the queue frees the job's QueueDepth slot at once.
+	s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == jb })
+	s.mu.Unlock()
 	if jb == nil {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
@@ -200,22 +199,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb.mu.Lock()
 	switch jb.state {
 	case stateQueued:
-		// The worker that eventually pops this job sees a non-queued
-		// state and skips it; its QueueDepth reservation is returned now,
-		// not when the worker drains past the corpse. The cancel ends the
-		// job's queue wait — the time it sat queued is real wait.
-		s.releaseSlotLocked(jb)
-		if !jb.enqueued.IsZero() {
-			jb.queueWait = time.Since(jb.enqueued)
-			jb.spans.Record(obs.PhaseQueueWait, jb.queueWait)
-		}
-		jb.finishLocked(stateCancelled, nil, false, "cancelled by client before start")
+		// Out of the queue, or taken by a worker that has not started it:
+		// the worker skips a job it finds already terminal.
 		jb.mu.Unlock()
-		s.cancelled.Add(1)
-		s.jobFinished(jb, stateCancelled, false)
-		jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
-			Detail: "job cancelled before start"})
-		jb.events.close()
+		s.finish(jb, stateCancelled, nil, false, "cancelled by client before start",
+			eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
+				Detail: "job cancelled before start"})
 	case stateRunning:
 		jb.userCancel = true // so a racing watchdog cannot re-label this
 		cancel := jb.cancel
@@ -230,21 +219,26 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	states := map[string]int{}
-	var eventsDropped uint64
+	writeJSON(w, http.StatusOK, s.stats())
+}
+
+// stats is the one snapshot behind /v1/stats and the server, report-store
+// and farm families of /v1/metrics. The job pointers are copied under
+// s.mu and their states counted outside it, so a stats poll holds the
+// lock workers pop under only for the copy.
+func (s *Server) stats() StatsReply {
 	s.mu.Lock()
+	jobs := make([]*job, 0, len(s.jobs))
 	for _, jb := range s.jobs {
-		jb.mu.Lock()
-		states[jb.state]++
-		jb.mu.Unlock()
-		eventsDropped += jb.events.droppedCount()
+		jobs = append(jobs, jb)
 	}
+	depth, draining := len(s.queue), s.draining
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, StatsReply{
-		Workers:        len(s.shards),
-		QueueDepth:     s.queueDepth(),
-		Draining:       s.isDraining(),
-		JobStates:      states,
+	st := StatsReply{
+		Workers:        s.opts.Workers,
+		QueueDepth:     depth,
+		Draining:       draining,
+		JobStates:      map[string]int{},
 		Submitted:      s.submitted.Load(),
 		Completed:      s.completed.Load(),
 		Failed:         s.failed.Load(),
@@ -254,7 +248,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WatchdogKills:  s.watchdogKills.Load(),
 		Retries:        s.retries.Load(),
 		StoreFails:     s.storeFails.Load(),
-		EventsDropped:  eventsDropped,
 		QueueWaitP50MS: s.metrics.queueWaitQuantileMS(0.5),
 		QueueWaitP99MS: s.metrics.queueWaitQuantileMS(0.99),
 		ReportCache: ReportCacheStats{
@@ -263,7 +256,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Len:    s.store.len(),
 		},
 		Farm: s.opts.Farm.Stats(),
-	})
+	}
+	for _, jb := range jobs {
+		jb.mu.Lock()
+		st.JobStates[jb.state]++
+		jb.mu.Unlock()
+		st.EventsDropped += jb.events.droppedCount()
+	}
+	return st
 }
 
 // handleEvents streams the job's event history and live tail as

@@ -1,7 +1,6 @@
 package edaserver
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,18 +38,12 @@ type job struct {
 	errDetail  string // terminal failure/cancellation detail
 	reportJSON []byte // shared wire-format report bytes (possibly partial)
 	cancel     func() // cancels the running job's context
-	// enqueued is when the job landed on its shard; queueWait is the
-	// enqueue→worker-pop wait, fixed by whichever of the worker's pop
-	// and a queued-state cancel ends the wait. A job answered from the
-	// report cache at submission never queued: both stay zero.
+	// enqueued is when the job entered the queue, zero when it never
+	// queued (answered from the report cache at submission) or once its
+	// wait has ended; queueWait is that enqueue→worker-pop wait, fixed by
+	// endWaitLocked at the pop or when the job ends while still queued.
 	enqueued  time.Time
 	queueWait time.Duration
-	// queuedSlot marks that this job holds one unit of the server's
-	// global QueueDepth reservation. Exactly one of the worker's pop and
-	// a queued-state cancel releases it (guarded by mu), so a cancelled
-	// job waiting in a shard channel stops counting against the bound
-	// immediately instead of until a worker drains past it.
-	queuedSlot bool
 	// wedged marks that the watchdog cancelled this job for event
 	// staleness; set before the cancel so the worker can tell a watchdog
 	// kill (terminal failed) from a client cancel (terminal cancelled).
@@ -61,13 +54,16 @@ type job struct {
 	userCancel bool
 }
 
-// finishLocked moves the job to a terminal state. Callers hold jb.mu.
-func (jb *job) finishLocked(state string, reportJSON []byte, cached bool, errDetail string) {
-	jb.state = state
-	jb.reportJSON = reportJSON
-	jb.cached = cached
-	jb.errDetail = errDetail
-	jb.cancel = nil
+// endWaitLocked ends the job's queue wait, once, recording it as the
+// queue_wait phase. Callers hold jb.mu (then the spans lock inside
+// Record — the same direction as status()).
+func (jb *job) endWaitLocked() {
+	if jb.enqueued.IsZero() {
+		return
+	}
+	jb.queueWait = time.Since(jb.enqueued)
+	jb.spans.Record(obs.PhaseQueueWait, jb.queueWait)
+	jb.enqueued = time.Time{}
 }
 
 // terminal reports whether the job has reached a final state.
@@ -79,15 +75,6 @@ func (jb *job) terminal() bool {
 		return true
 	}
 	return false
-}
-
-// shardOf maps a content key onto a queue shard. Same key, same shard:
-// identical specs keep submission order, which is what makes the worker's
-// pop-time report-store check deterministic for concurrent duplicates.
-func shardOf(key string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
 }
 
 // numbered pairs one event with its position in the job's stream.

@@ -12,10 +12,10 @@ import (
 )
 
 // serverMetrics is the server's corner of the obs registry: the latency
-// histograms that record as jobs move (everything else — counters the
-// server already keeps as atomics, farm/VM/fault stats owned by other
-// packages — is harvested live at scrape time by handleMetrics, so no
-// state is kept twice).
+// histograms that record as jobs move (everything else — the stats
+// snapshot /v1/stats also encodes, fault stats owned by the injector — is
+// harvested live at scrape time by handleMetrics, so no state is kept
+// twice).
 type serverMetrics struct {
 	reg *obs.Registry
 	// jobDur is submit-to-terminal latency across all jobs.
@@ -60,9 +60,9 @@ func (m *serverMetrics) queueWaitQuantileMS(q float64) float64 {
 // handleMetrics serves GET /v1/metrics: the full telemetry surface in
 // Prometheus text exposition format — the registry's histograms plus
 // every counter harvested live from the server, the report store, the
-// farm (cache layers, lint screen, VM dispatch tiers) and the fault
-// injector. One scrape answers "what is this service doing": job flow,
-// latency distributions, queue pressure, cache economics, chaos damage.
+// farm (cache layers, lint screen) and the fault injector. One scrape
+// answers "what is this service doing": job flow, latency distributions,
+// queue pressure, cache economics, chaos damage.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 	s.metrics.reg.Expose(&b)
@@ -73,40 +73,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) harvestMetrics(w io.Writer) {
+	st := s.stats()
 	// Job flow.
 	obs.WriteFamily(w, "llm4eda_jobs_submitted_total", "Jobs accepted by POST /v1/jobs.",
-		obs.KindCounter, obs.Sample{Value: float64(s.submitted.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.Submitted)})
 	obs.WriteFamily(w, "llm4eda_jobs_finished_total", "Jobs reaching a terminal state, by state.",
 		obs.KindCounter,
-		obs.Sample{Labels: []string{"state", stateDone}, Value: float64(s.completed.Load())},
-		obs.Sample{Labels: []string{"state", stateFailed}, Value: float64(s.failed.Load())},
-		obs.Sample{Labels: []string{"state", stateCancelled}, Value: float64(s.cancelled.Load())})
+		obs.Sample{Labels: []string{"state", stateDone}, Value: float64(st.Completed)},
+		obs.Sample{Labels: []string{"state", stateFailed}, Value: float64(st.Failed)},
+		obs.Sample{Labels: []string{"state", stateCancelled}, Value: float64(st.Cancelled)})
 	obs.WriteFamily(w, "llm4eda_jobs_rejected_total", "Submissions rejected by queue backpressure or drain.",
-		obs.KindCounter, obs.Sample{Value: float64(s.rejected.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.Rejected)})
 
 	// Queue and job-table pressure.
-	states := map[string]int{}
-	var eventsDropped uint64
-	s.mu.Lock()
-	for _, jb := range s.jobs {
-		jb.mu.Lock()
-		states[jb.state]++
-		jb.mu.Unlock()
-		eventsDropped += jb.events.droppedCount()
-	}
-	s.mu.Unlock()
 	stateSamples := make([]obs.Sample, 0, 5)
-	for _, st := range []string{stateQueued, stateRunning, stateDone, stateFailed, stateCancelled} {
-		stateSamples = append(stateSamples, obs.Sample{Labels: []string{"state", st}, Value: float64(states[st])})
+	for _, state := range []string{stateQueued, stateRunning, stateDone, stateFailed, stateCancelled} {
+		stateSamples = append(stateSamples, obs.Sample{Labels: []string{"state", state}, Value: float64(st.JobStates[state])})
 	}
 	obs.WriteFamily(w, "llm4eda_jobs", "Jobs retained in the job table, by state.",
 		obs.KindGauge, stateSamples...)
 	obs.WriteFamily(w, "llm4eda_queue_depth", "Jobs accepted onto the queue but not yet started.",
-		obs.KindGauge, obs.Sample{Value: float64(s.queueDepth())})
-	obs.WriteFamily(w, "llm4eda_workers", "Queue shards, each drained by one worker.",
-		obs.KindGauge, obs.Sample{Value: float64(len(s.shards))})
+		obs.KindGauge, obs.Sample{Value: float64(st.QueueDepth)})
+	obs.WriteFamily(w, "llm4eda_workers", "Worker goroutines draining the job queue.",
+		obs.KindGauge, obs.Sample{Value: float64(st.Workers)})
 	draining := 0.0
-	if s.isDraining() {
+	if st.Draining {
 		draining = 1
 	}
 	obs.WriteFamily(w, "llm4eda_draining", "1 while the server is draining (intake rejected).",
@@ -114,26 +105,26 @@ func (s *Server) harvestMetrics(w io.Writer) {
 
 	// Resilience counters.
 	obs.WriteFamily(w, "llm4eda_panics_total", "Pipeline panics recovered into failed jobs.",
-		obs.KindCounter, obs.Sample{Value: float64(s.panics.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.Panics)})
 	obs.WriteFamily(w, "llm4eda_watchdog_kills_total", "Jobs cancelled by the staleness watchdog.",
-		obs.KindCounter, obs.Sample{Value: float64(s.watchdogKills.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.WatchdogKills)})
 	obs.WriteFamily(w, "llm4eda_transient_retries_total", "Transient-failure retries absorbed inside candidate loops.",
-		obs.KindCounter, obs.Sample{Value: float64(s.retries.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.Retries)})
 	obs.WriteFamily(w, "llm4eda_store_fails_total", "Report-store writes dropped (fault-injected).",
-		obs.KindCounter, obs.Sample{Value: float64(s.storeFails.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.StoreFails)})
 	obs.WriteFamily(w, "llm4eda_events_dropped_total", "SSE replay-ring evictions summed over retained jobs.",
-		obs.KindCounter, obs.Sample{Value: float64(eventsDropped)})
+		obs.KindCounter, obs.Sample{Value: float64(st.EventsDropped)})
 
 	// Report store (cross-request dedup layer).
 	obs.WriteFamily(w, "llm4eda_report_cache_hits_total", "Report-store hits (submit-time and pop-time dedup).",
-		obs.KindCounter, obs.Sample{Value: float64(s.store.hits.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.ReportCache.Hits)})
 	obs.WriteFamily(w, "llm4eda_report_cache_misses_total", "Report-store misses.",
-		obs.KindCounter, obs.Sample{Value: float64(s.store.miss.Load())})
+		obs.KindCounter, obs.Sample{Value: float64(st.ReportCache.Misses)})
 	obs.WriteFamily(w, "llm4eda_report_cache_entries", "Reports retained in the store.",
-		obs.KindGauge, obs.Sample{Value: float64(s.store.len())})
+		obs.KindGauge, obs.Sample{Value: float64(st.ReportCache.Len)})
 
 	// Farm cache layers, lint screen, recovered worker panics.
-	fs := s.opts.Farm.Stats()
+	fs := st.Farm
 	layers := []struct {
 		name string
 		st   simfarm.Stats

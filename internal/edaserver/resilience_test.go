@@ -56,9 +56,9 @@ func TestWorkerPanicIsolation(t *testing.T) {
 }
 
 // TestLeaderPanicFollowerCleanFailure: two concurrent submissions of the
-// same spec serialize on one shard. The leader's pipeline panics; the
-// follower must neither hang nor inherit the panic — it runs on its own
-// and completes clean. (The farm-level singleflight unwind contract this
+// same spec run one at a time, in submission order. The leader's
+// pipeline panics; the follower must neither hang nor inherit the panic —
+// it runs on its own and completes clean. (The farm-level singleflight unwind contract this
 // rides on is pinned in simfarm's own suite; this is the service-level
 // proof.) Run under -race via make test-race.
 func TestLeaderPanicFollowerCleanFailure(t *testing.T) {

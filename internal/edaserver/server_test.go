@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,6 +363,48 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
+// TestDistinctSpecNotBlockedByBusyKey: a duplicate of a running spec
+// waits for its content key, while a distinct spec submitted after it
+// starts at once on the free worker; once the first run finishes, the
+// duplicate is answered from the report store at its pop. Seed 4 is the
+// regression pick: under per-key sharding over two workers (FNV-32a of
+// the content key modulo 2), seeds 1 and 4 share a shard, so a sharded
+// scheduler leaves seed 4 queued behind the duplicate while the other
+// worker idles.
+func TestDistinctSpecNotBlockedByBusyKey(t *testing.T) {
+	reg, release := blockingRegistry(t)
+	h := newHarness(t, edaserver.Options{Workers: 2, Registry: reg})
+	ctx := context.Background()
+
+	blockSpec := func(seed uint64) eda.Spec {
+		return eda.Spec{Framework: "block", Run: eda.RunSpec{Seed: seed}}
+	}
+	first, err := h.c.Submit(ctx, blockSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, h.c, first.ID, "running")
+	dup, err := h.c.Submit(ctx, blockSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct, err := h.c.Submit(ctx, blockSpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, h.c, distinct.ID, "running")
+	if job, err := h.c.Get(ctx, dup.ID); err != nil || job.State != "queued" {
+		t.Fatalf("duplicate while its key runs: %+v, %v; want queued", job, err)
+	}
+
+	close(release)
+	if final := waitState(t, h.c, dup.ID, "done"); !final.Cached {
+		t.Error("duplicate ran again instead of taking the stored report at its pop")
+	}
+	waitState(t, h.c, first.ID, "done")
+	waitState(t, h.c, distinct.ID, "done")
+}
+
 // TestCancelRunning cancels an in-flight job: its context must fire and
 // the job must finish cancelled, promptly.
 func TestCancelRunning(t *testing.T) {
@@ -450,8 +494,8 @@ func TestShutdownDrains(t *testing.T) {
 		defer cancel()
 		sdErr <- h.srv.Shutdown(ctxSD)
 	}()
-	// Draining flips synchronously with the shard-channel close; poll
-	// stats until visible, then probe the intake.
+	// Draining flips synchronously with the queue sweep; poll stats until
+	// visible, then probe the intake.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err := h.c.Stats(ctx)
@@ -481,6 +525,88 @@ func TestShutdownDrains(t *testing.T) {
 		t.Errorf("drained in-flight job error: %s", job.Error)
 	}
 	waitState(t, h.c, queued.ID, "cancelled")
+}
+
+// gateLog parks the first "job finished" record of a cancelled job until
+// release is closed, closing held once it is parked. The record is logged
+// by the job's terminal transition, so this pauses the shutdown sweep
+// between the queued jobs it ends.
+type gateLog struct {
+	parked        atomic.Bool
+	held, release chan struct{}
+}
+
+func (g *gateLog) Enabled(context.Context, slog.Level) bool { return true }
+func (g *gateLog) WithAttrs([]slog.Attr) slog.Handler       { return g }
+func (g *gateLog) WithGroup(string) slog.Handler            { return g }
+func (g *gateLog) Handle(_ context.Context, r slog.Record) error {
+	cancelled := false
+	r.Attrs(func(a slog.Attr) bool {
+		cancelled = cancelled || (a.Key == "state" && a.Value.String() == "cancelled")
+		return true
+	})
+	if r.Message == "job finished" && cancelled && g.parked.CompareAndSwap(false, true) {
+		close(g.held)
+		<-g.release
+	}
+	return nil
+}
+
+// TestCancelRacingShutdownSweep: a DELETE that reaches a queued job after
+// Shutdown took it off the queue, but before the sweep ended it, finishes
+// the job once. The sweep then leaves it alone: one cancelled count and
+// one job-duration fold per job, and the client's detail stands.
+func TestCancelRacingShutdownSweep(t *testing.T) {
+	reg, release := blockingRegistry(t)
+	gate := &gateLog{held: make(chan struct{}), release: make(chan struct{})}
+	h := newHarness(t, edaserver.Options{Workers: 1, QueueDepth: 2, Registry: reg, Log: slog.New(gate)})
+	ctx := context.Background()
+
+	running, err := h.c.Submit(ctx, eda.Spec{Framework: "block", Run: eda.RunSpec{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, h.c, running.ID, "running")
+	var queued [2]*client.Job
+	for i := range queued {
+		if queued[i], err = h.c.Submit(ctx, eda.Spec{Framework: "block", Run: eda.RunSpec{Seed: uint64(2 + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sdErr := make(chan error, 1)
+	go func() {
+		ctxSD, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		sdErr <- h.srv.Shutdown(ctxSD)
+	}()
+	select {
+	case <-gate.held: // the sweep ended queued[0] and has not reached queued[1]
+	case <-time.After(10 * time.Second):
+		t.Fatal("the shutdown sweep never ended a queued job")
+	}
+	if job, err := h.c.Cancel(ctx, queued[1].ID); err != nil || job.State != "cancelled" {
+		t.Fatalf("DELETE during the sweep: %+v, %v; want cancelled", job, err)
+	}
+	close(gate.release)
+	close(release)
+	if err := <-sdErr; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	if job := waitState(t, h.c, queued[1].ID, "cancelled"); job.Error != "cancelled by client before start" {
+		t.Errorf("raced job error = %q, want the client's cancel", job.Error)
+	}
+	st, err := h.c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != 3 || st.Completed != 1 || st.Cancelled != 2 {
+		t.Errorf("submitted/completed/cancelled = %d/%d/%d, want 3/1/2", st.Submitted, st.Completed, st.Cancelled)
+	}
+	if _, vals := scrapeMetrics(t, h.ts.URL); vals["llm4eda_job_duration_seconds_count"] != 3 {
+		t.Errorf("job_duration_seconds_count = %v, want 3 (one fold per job)", vals["llm4eda_job_duration_seconds_count"])
+	}
 }
 
 // TestShutdownForcedCancel: a drain whose budget expires force-cancels
