@@ -1,12 +1,13 @@
 # Tier-1 verification and the engine-specific gates. `make ci` is what a
 # PR must pass: build, vet, gofmt cleanliness, the quick test sweep, the
-# race-checked batch engine, the service smokes and the benchmark module
-# check (.github/workflows/ci.yml runs exactly this target).
+# E1–E12 golden suite, the race-checked batch engine, the service smokes
+# and the benchmark module check (.github/workflows/ci.yml runs exactly
+# this target).
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check lint-go test test-short test-race bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
+.PHONY: all build vet fmt-check lint-go test test-short test-race golden bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
 
 all: build
 
@@ -38,6 +39,12 @@ test:
 # -short and skipped here; finishes in seconds.
 test-short:
 	$(GO) test -short ./...
+
+# The E1–E12 quick-scale golden suite: every experiment row must match
+# internal/experiments/testdata byte for byte. It skips under -short, so
+# test-short never runs it; this target does (about 40 s).
+golden:
+	$(GO) test -count=1 -run '^TestGoldenQuickScaleRows$$' ./internal/experiments
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks
@@ -196,4 +203,4 @@ chaos-test:
 chaos-smoke:
 	$(GO) test -run TestChaosSurvival -short -timeout 120s ./internal/edaserver
 
-ci: build vet fmt-check lint-go test-short test-race chaos-smoke serve-smoke load-smoke bench-check
+ci: build vet fmt-check lint-go test-short golden test-race chaos-smoke serve-smoke load-smoke bench-check

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// TestGoldenQuickScaleRows locks the E1–E11 quick-scale output to the
+// TestGoldenQuickScaleRows locks the E1–E12 quick-scale output to the
 // fixture captured immediately before the eda front-door redesign: the
 // experiment rows must stay byte-identical, so API work can never
-// silently change scientific results. Regenerate the fixture (only after
+// silently change scientific results. It skips under -short; `make
+// golden` (part of `make ci`) runs it. Regenerate the fixture (only after
 // an intentional result change) with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGoldenQuickScaleRows

@@ -151,32 +151,6 @@ const (
 	// -- exact-semantics fallbacks ---------------------------------------
 	opFallbackStmt // tree-execute fbStmts[A] (Assign or SysCall)
 	opFallbackExpr // regs[A] = tree-eval of fbExprs[B]
-
-	// -- peephole fusions (finish-time; see fusePairs) -------------------
-	// Each replaces an adjacent pair without shifting pcs: the fused op
-	// performs both effects and advances past its dead partner slot.
-	opStepConst   // opStep + opConst
-	opStepLoadSig // opStep + opLoadSig
-	opLoadSig2    // opLoadSig A<-B + opLoadSig C<-D
-	opStoreSigEnd // opStoreSig + opEnd (continuous-assign tail)
-	opBrCmpK      // cmp-with-const (kind D) + opBranchFalse to C
-	opLoadSigBitK // opLoadSig + opBitSelK: regs[A] = bit C of signal B
-
-	// Second-order fusions (pass 2; advance pc by 3 — their own fused
-	// pair slot plus the store slot):
-	opStepConstStore // opStepConst + opStoreSig: charge; signal B (width C) = consts[A]
-	opStepCopy       // opStepLoadSig + opStoreSig: charge; signal B (width C) = signal A
-	opStepCopyNB     // opStepLoadSig + opStoreSigNB
-)
-
-// cmp kinds for opBrCmpK (stored in D).
-const (
-	cmpLt = iota
-	cmpGt
-	cmpLe
-	cmpGe
-	cmpEq
-	cmpNe
 )
 
 // Instr is one VM instruction. Operand meaning is per-opcode (see the
@@ -258,11 +232,6 @@ type lowerer struct {
 	nslots   int
 	slots    []slotRef
 
-	// markScratch/deadScratch are pooled bool buffers for the fusion
-	// passes (branch-target marks and dead-slot flags).
-	markScratch []bool
-	deadScratch []bool
-
 	// line is the source line of the statement currently being lowered;
 	// expression-level error ops inherit it so runtime wrapping matches
 	// the tree kernel's per-statement "line %d: %w".
@@ -337,10 +306,11 @@ func lowerProcess(body Stmt, sc scope, d *Design, kind procKind, star bool, hasS
 }
 
 // lowerContAssign lowers one continuous assignment (RHS evaluation plus
-// the wire-legality store) into a Program with no statement charges. It
-// returns nil for the rare shapes whose tree semantics are cheaper to
-// keep than to replicate (concat lvalues with dynamically-sized parts);
-// the simulator then falls back to the retained tree evaluator.
+// the wire-legality store) into a Program with no statement charges; the
+// simulator runs every compiled assign through vmRun. It returns nil only
+// for a concat lvalue with dynamically-sized parts, whose tree semantics
+// are cheaper to keep than to replicate; the simulator runs that assign
+// on the retained tree evaluator.
 func lowerContAssign(ca *contAssign, d *Design) *Program {
 	lw := getLowerer(d, ca.scope, false)
 	defer putLowerer(lw)
@@ -366,129 +336,11 @@ func (lw *lowerer) finish() {
 			ins.B += int32(lw.maxStack)
 		}
 	}
-	lw.fusePairs()
 	lw.prog.code = append(make([]Instr, 0, len(lw.code)), lw.code...)
 	if len(lw.consts) > 0 {
 		lw.prog.consts = append(make([]Value, 0, len(lw.consts)), lw.consts...)
 	}
 	lw.prog.numRegs = lw.maxStack + lw.nslots
-}
-
-// resizeBools readies a pooled bool buffer of length n, cleared.
-func resizeBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
-}
-
-// enableFusion gates the fusePairs peephole. Tests switch it off to get
-// the unfused reference engine; it is read at lowering time, so programs
-// keep the setting they were compiled under.
-var enableFusion = true
-
-// brCmpKinds maps a constant-RHS comparison opcode to its opBrCmpK kind.
-var brCmpKinds = map[OpCode]int32{
-	opLtK: cmpLt, opGtK: cmpGt, opLeK: cmpLe, opGeK: cmpGe,
-	opEqK: cmpEq, opNeK: cmpNe,
-}
-
-// fusePairs is the finish-time peephole: it rewrites the hottest
-// adjacent instruction pairs into single fused opcodes. The second slot
-// of a fused pair stays in place (so no branch target moves) but is
-// never executed — the fused op advances the pc by two. A pair is only
-// fused when its second slot is not a branch target; suspension resumes
-// (always pc+1 of the suspending op, or an explicit operand) can only
-// enter at pair starts, so they need no special casing.
-func (lw *lowerer) fusePairs() {
-	if !enableFusion {
-		return
-	}
-	code := lw.code
-	if len(code) < 2 {
-		return
-	}
-	lw.markScratch = resizeBools(lw.markScratch, len(code)+1)
-	isTarget := lw.markScratch
-	mark := func(t int32) {
-		if t >= 0 && int(t) < len(isTarget) {
-			isTarget[t] = true
-		}
-	}
-	for i := range code {
-		switch code[i].Op {
-		case opJump:
-			mark(code[i].A)
-		case opBranchFalse, opBranchTrue, opWaitArm, opRepeatLoop:
-			mark(code[i].B)
-		case opTernBranch, opTernMid, opCaseBr:
-			mark(code[i].C)
-		}
-	}
-	lw.deadScratch = resizeBools(lw.deadScratch, len(code))
-	dead := lw.deadScratch
-	for i := 0; i+1 < len(code); i++ {
-		if isTarget[i+1] {
-			continue
-		}
-		a, b := &code[i], &code[i+1]
-		switch {
-		case a.Op == opStep && b.Op == opConst:
-			*a = Instr{Op: opStepConst, A: b.A, B: b.B, Line: a.Line}
-			dead[i+1] = true
-			i++
-		case a.Op == opStep && b.Op == opLoadSig:
-			*a = Instr{Op: opStepLoadSig, A: b.A, B: b.B, Line: a.Line}
-			dead[i+1] = true
-			i++
-		case a.Op == opLoadSig && b.Op == opLoadSig:
-			*a = Instr{Op: opLoadSig2, A: a.A, B: a.B, C: b.A, D: b.B, Line: a.Line}
-			dead[i+1] = true
-			i++
-		case a.Op == opLoadSig && b.Op == opBitSelK && b.A == a.A:
-			*a = Instr{Op: opLoadSigBitK, A: a.A, B: a.B, C: b.C, Line: a.Line}
-			dead[i+1] = true
-			i++
-		case a.Op == opStoreSig && b.Op == opEnd:
-			a.Op = opStoreSigEnd
-			dead[i+1] = true
-			i++
-		default:
-			if kind, ok := brCmpKinds[a.Op]; ok && b.Op == opBranchFalse && b.A == a.A {
-				// The comparison's register is dead past the branch in
-				// every lowering that emits this shape (condition regs
-				// are scratch), so the fused op skips the write.
-				*a = Instr{Op: opBrCmpK, A: a.A, B: a.B, C: b.B, D: kind, Line: a.Line}
-				dead[i+1] = true
-				i++
-			}
-		}
-	}
-	// Pass 2: whole-statement fusions over the live sequence — a fused
-	// statement head (pc stride 2) followed by its store (one more live
-	// slot, not a branch target). The RHS register is dead past the
-	// store by construction, so the fused op never materializes it.
-	for i := 0; i+2 < len(code); i++ {
-		if dead[i] || dead[i+2] || isTarget[i+1] || isTarget[i+2] {
-			continue
-		}
-		a, b := &code[i], &code[i+2]
-		switch {
-		case a.Op == opStepConst && b.Op == opStoreSig && b.A == a.A:
-			*a = Instr{Op: opStepConstStore, A: a.B, B: b.B, C: b.C, Line: a.Line}
-			dead[i+2] = true
-		case a.Op == opStepLoadSig && b.Op == opStoreSig && b.A == a.A:
-			*a = Instr{Op: opStepCopy, A: a.B, B: b.B, C: b.C, Line: a.Line}
-			dead[i+2] = true
-		case a.Op == opStepLoadSig && b.Op == opStoreSigNB && b.A == a.A:
-			*a = Instr{Op: opStepCopyNB, A: a.B, B: b.B, C: b.C, Line: a.Line}
-			dead[i+2] = true
-		}
-	}
 }
 
 func (lw *lowerer) emit(op OpCode, a, b, c, d, line int32) int {
@@ -1203,126 +1055,6 @@ func (lw *lowerer) lowerDisplay(n *SysCall) {
 	emitDesc()
 }
 
-// classifyCAFastAST recognizes fast continuous-assign shapes straight
-// off the bound AST, before (and instead of) lowering: a plain signal
-// lvalue whose RHS is a signal, a constant, one mapped operator over
-// signals, or an operator with a constant right operand. Only fully
-// legal shapes classify — anything that must raise a diagnostic (reg
-// lvalue, memory without index, unknown name) falls through to the
-// compiled/tree path so the error text and position stay exact.
-func classifyCAFastAST(ca *contAssign, d *Design) (caFast, bool) {
-	lhs, ok := ca.lhs.(*boundRef)
-	if !ok {
-		return caFast{}, false
-	}
-	dst := d.Signals[lhs.sig]
-	if dst.Words != 1 || dst.IsReg {
-		return caFast{}, false
-	}
-	sigOf := func(ex Expr) (SignalID, bool) {
-		ref, ok := ex.(*boundRef)
-		if !ok {
-			return 0, false
-		}
-		if d.Signals[ref.sig].Words != 1 {
-			return 0, false
-		}
-		return ref.sig, true
-	}
-	out := caFast{dst: dst.ID, dstWidth: dst.Width}
-	switch rhs := ca.rhs.(type) {
-	case *boundRef:
-		src, ok := sigOf(rhs)
-		if !ok {
-			return caFast{}, false
-		}
-		out.kind, out.a = caFastCopy, src
-		return out, true
-	case *Number:
-		out.kind, out.k = caFastConst, rhs.Val
-		return out, true
-	case *boundParam:
-		out.kind, out.k = caFastConst, rhs.val
-		return out, true
-	case *Unary:
-		op, ok := unaryOps[rhs.Op]
-		if !ok {
-			return caFast{}, false
-		}
-		src, ok := sigOf(rhs.X)
-		if !ok {
-			return caFast{}, false
-		}
-		out.kind, out.op, out.a = caFastUn, op, src
-		return out, true
-	case *Binary:
-		op, ok := binaryOps[rhs.Op]
-		if !ok {
-			return caFast{}, false
-		}
-		a, ok := sigOf(rhs.X)
-		if !ok {
-			return caFast{}, false
-		}
-		if k, isConst := constOf(rhs.Y); isConst {
-			out.kind, out.op, out.a, out.k = caFastBinK, op, a, k
-			return out, true
-		}
-		b, ok := sigOf(rhs.Y)
-		if !ok {
-			return caFast{}, false
-		}
-		out.kind, out.op, out.a, out.b = caFastBin, op, a, b
-		return out, true
-	}
-	return caFast{}, false
-}
-
-// classifyCAFast recognizes the continuous-assign program shapes the
-// simulator short-circuits (see caFast). The shapes are matched on the
-// post-fusion code exactly, so a recognized assign computes precisely
-// what its program would have.
-func classifyCAFast(p *Program) caFast {
-	if p == nil {
-		return caFast{}
-	}
-	code := p.code
-	switch len(code) {
-	case 3: // opLoadSig, opStoreSigEnd, dead opEnd
-		if code[0].Op == opLoadSig && code[0].A == 0 && code[1].Op == opStoreSigEnd && code[1].A == 0 {
-			return caFast{kind: caFastCopy, a: SignalID(code[0].B),
-				dst: SignalID(code[1].B), dstWidth: int(code[1].C)}
-		}
-	case 4: // fused load/compute, dead slot, opStoreSigEnd, dead opEnd
-		if code[0].Op == opLoadSigBitK && code[0].A == 0 && code[2].Op == opStoreSigEnd && code[2].A == 0 {
-			return caFast{kind: caFastBitK, a: SignalID(code[0].B),
-				k: Value{Bits: uint64(uint32(code[0].C))}, dst: SignalID(code[2].B), dstWidth: int(code[2].C)}
-		}
-		if code[0].Op == opLoadSig && code[0].A == 0 && code[2].Op == opStoreSigEnd && code[2].A == 0 {
-			mid := code[1]
-			if mid.A != 0 {
-				break
-			}
-			if mid.Op >= opNot && mid.Op <= opRedXnor {
-				return caFast{kind: caFastUn, op: mid.Op, a: SignalID(code[0].B),
-					dst: SignalID(code[2].B), dstWidth: int(code[2].C)}
-			}
-			if mid.Op >= opAddK && mid.Op <= opGeK {
-				return caFast{kind: caFastBinK, op: mid.Op, a: SignalID(code[0].B),
-					k: p.consts[mid.B], dst: SignalID(code[2].B), dstWidth: int(code[2].C)}
-			}
-		}
-	case 5: // opLoadSig2, dead, binary, opStoreSigEnd, dead opEnd
-		if code[0].Op == opLoadSig2 && code[0].A == 0 && code[0].C == 1 &&
-			code[2].Op >= opAdd && code[2].Op <= opLogOr && code[2].A == 0 && code[2].B == 1 &&
-			code[3].Op == opStoreSigEnd && code[3].A == 0 {
-			return caFast{kind: caFastBin, op: code[2].Op, a: SignalID(code[0].B),
-				b: SignalID(code[0].D), dst: SignalID(code[3].B), dstWidth: int(code[3].C)}
-		}
-	}
-	return caFast{}
-}
-
 // --- expression lowering -------------------------------------------------
 
 // unaryOps maps operator text to opcodes.
@@ -1447,8 +1179,7 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		lw.expr(n.X, dst)
 		if iv, ok := lw.foldConst(n.Idx); ok && iv.IsFullyKnown() {
 			// Constant bit index — the dominant shape in bit-sliced RTL
-			// (sum chains, priority encoders): one opcode, and a further
-			// load fusion when X is a plain signal.
+			// (sum chains, priority encoders): one opcode.
 			c := int32(-1) // out of range for any width; exec yields X
 			if idx := iv.Uint(); idx < 64 {
 				c = int32(idx)

@@ -47,40 +47,12 @@ type contAssign struct {
 	scope scope
 	reads []SignalID
 	line  int
-	// prog is the compiled evaluate-and-store program (bytecode.go); nil
-	// for the rare lvalue shapes that stay on the tree evaluator.
+	// prog is the compiled evaluate-and-store program (bytecode.go) that
+	// every evaluation of the assign runs through vmRun; nil only for a
+	// concat lvalue with dynamically-sized parts, which stays on the tree
+	// evaluator.
 	prog *Program
-	// fast short-circuits the pervasive simple shapes (`assign dst = src`
-	// port connections, `assign z = x op y`, `assign z = x op K`,
-	// `assign z = op x`) to direct computation without entering the VM
-	// dispatch loop; fast.kind == caFastNone runs the full program.
-	fast caFast
 }
-
-// caFast describes a specialized continuous-assign shape.
-type caFast struct {
-	kind     uint8
-	op       OpCode   // caFastBin/BinK/Un: the value opcode
-	a, b     SignalID // source signals (b unused for copy/unary/K shapes)
-	k        Value    // caFastBinK: the constant RHS
-	dst      SignalID
-	dstWidth int
-	// Store offsets of a, b and dst, resolved once in finalizeLayout so
-	// the hot evaluation path (caFastValue/commitFull) does no
-	// wordOffset lookups. Offsets are per-design, and so is caFast.
-	aOff, bOff, dstOff int32
-}
-
-// caFast kinds.
-const (
-	caFastNone  uint8 = iota
-	caFastCopy        // dst = a
-	caFastBin         // dst = a op b
-	caFastBinK        // dst = a op k
-	caFastUn          // dst = op a
-	caFastConst       // dst = k
-	caFastBitK        // dst = bit k.Bits of a
-)
 
 // procKind distinguishes process flavors.
 type procKind int
@@ -168,15 +140,7 @@ func (d *Design) finalizeLayout() {
 	d.caRegOff = make([]int32, len(d.assigns)+1)
 	total = 0
 	for i, ca := range d.assigns {
-		// Simple shapes classify straight off the bound AST and skip
-		// program construction entirely; everything else lowers, with a
-		// second chance to specialize off the compiled shape.
-		if f, ok := classifyCAFastAST(ca, d); ok {
-			ca.fast = f
-		} else {
-			ca.prog = lowerContAssign(ca, d)
-			ca.fast = classifyCAFast(ca.prog)
-		}
+		ca.prog = lowerContAssign(ca, d)
 		d.caRegOff[i] = int32(total)
 		if ca.prog != nil {
 			total += ca.prog.numRegs
@@ -198,14 +162,6 @@ func (d *Design) finalizeLayout() {
 	}
 	d.wordOffset[len(d.Signals)] = int32(total)
 	d.totalWords = total
-	// Resolve the fast-shape store offsets now that the layout exists.
-	for _, ca := range d.assigns {
-		if f := &ca.fast; f.kind != caFastNone {
-			f.aOff = d.wordOffset[f.a]
-			f.bOff = d.wordOffset[f.b]
-			f.dstOff = d.wordOffset[f.dst]
-		}
-	}
 }
 
 // SignalByName returns the flattened signal with the given hierarchical

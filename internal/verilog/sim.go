@@ -560,10 +560,10 @@ func (s *Simulator) commitWrite(sig SignalID, word int, mask uint64, v Value) {
 
 // commitFull is commitWrite specialized for the pervasive case: a full-
 // width store to word 0 of a signal whose store offset is already known
-// (off == design.wordOffset[sig]). Every non-indexed store opcode and
-// every continuous-assign fast path lands here, skipping the bounds
-// check and the masked merge. v must already be resized to the signal
-// width (so v.Width == old.Width and v is masked).
+// (off == design.wordOffset[sig]). Every blocking non-indexed signal
+// store (opStoreSig) lands here, skipping the bounds check and the
+// masked merge. v must already be resized to the signal width (so
+// v.Width == old.Width and v is masked).
 func (s *Simulator) commitFull(sig SignalID, off int32, v Value) {
 	slot := &s.store[off]
 	old := *slot
@@ -649,25 +649,18 @@ func (s *Simulator) wakeWatchers(c changeRec) {
 }
 
 // evalContAssign recomputes one continuous assignment and writes its
-// LHS. Compiled assigns run their evaluate-and-store program on the
-// pooled scratch slab; the rare uncompiled lvalue shapes keep the tree
-// evaluator (identical semantics, just slower).
+// LHS. Compiled assigns run their evaluate-and-store program through
+// vmRun on the pooled scratch slab; the one uncompiled lvalue shape
+// (a concat with dynamically-sized parts) keeps the tree evaluator
+// (identical semantics, just slower).
 func (s *Simulator) evalContAssign(idx int) {
 	ca := s.design.assigns[idx]
 	if s.probe != nil {
-		// Attribute every commit of this evaluation — fast-path, compiled
-		// program and tree fallback alike — to the assign's source line.
-		// (Store opcodes re-set the line, to the same value, from their
-		// own debug info.)
+		// Attribute every commit of this evaluation — compiled program
+		// and tree fallback alike — to the assign's source line. (Store
+		// opcodes re-set the line, to the same value, from their own
+		// debug info.)
 		s.probeLine = int32(ca.line)
-	}
-	if f := &ca.fast; f.kind != caFastNone {
-		// Specialized simple shapes (port copies, one-operator RHSes):
-		// the bulk of real propagation waves, computed without entering
-		// the VM dispatch loop at all. Store offsets were resolved at
-		// elaboration (finalizeLayout), so no wordOffset lookups here.
-		s.commitFull(f.dst, f.dstOff, s.caFastValue(f).Resize(f.dstWidth))
-		return
 	}
 	if prog := ca.prog; prog != nil {
 		regs := s.caRegs[s.design.caRegOff[idx]:s.design.caRegOff[idx+1]]
@@ -707,30 +700,6 @@ func (s *Simulator) evalContAssign(idx int) {
 		if s.rtErr == nil {
 			s.rtErr = fmt.Errorf("continuous assign at line %d: %w", ca.line, err)
 		}
-	}
-}
-
-// caFastValue computes one specialized continuous-assign shape from the
-// current store.
-func (s *Simulator) caFastValue(f *caFast) Value {
-	switch f.kind {
-	case caFastCopy:
-		return s.store[f.aOff]
-	case caFastConst:
-		return f.k
-	case caFastBin:
-		return vmBinary(f.op, s.store[f.aOff], s.store[f.bOff])
-	case caFastBinK:
-		return vmBinary(f.op, s.store[f.aOff], f.k)
-	case caFastBitK:
-		x := s.store[f.aOff]
-		i := int(int32(f.k.Bits))
-		if i < 0 || i >= x.Width {
-			return AllX(1)
-		}
-		return x.Bit(i)
-	default: // caFastUn
-		return vmUnary(f.op, s.store[f.aOff])
 	}
 }
 

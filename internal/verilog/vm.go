@@ -753,231 +753,9 @@ func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, 
 			regs[ins.A] = v
 			pc++
 
-		// --- peephole fusions (see fusePairs) ---------------------------
-		case opStepConst:
-			s.steps++
-			if s.steps > maxSteps {
-				return vmErr, errBudget
-			}
-			regs[ins.A] = prog.consts[ins.B]
-			pc += 2
-
-		case opStepLoadSig:
-			s.steps++
-			if s.steps > maxSteps {
-				return vmErr, errBudget
-			}
-			regs[ins.A] = s.store[s.design.wordOffset[ins.B]]
-			pc += 2
-
-		case opLoadSig2:
-			wo := s.design.wordOffset
-			regs[ins.A] = s.store[wo[ins.B]]
-			regs[ins.C] = s.store[wo[ins.D]]
-			pc += 2
-
-		case opStoreSigEnd:
-			w := int(ins.C)
-			s.probeLine = ins.Line
-			s.commitFull(SignalID(ins.B), s.design.wordOffset[ins.B], regs[ins.A].Resize(w))
-			return vmEnd, nil
-
-		case opLoadSigBitK:
-			x := s.store[s.design.wordOffset[ins.B]]
-			if i := int(ins.C); i < 0 || i >= x.Width {
-				regs[ins.A] = AllX(1)
-			} else {
-				regs[ins.A] = x.Bit(i)
-			}
-			pc += 2
-
-		case opStepConstStore:
-			s.steps++
-			if s.steps > maxSteps {
-				return vmErr, errBudget
-			}
-			w := int(ins.C)
-			s.probeLine = ins.Line
-			s.commitFull(SignalID(ins.B), s.design.wordOffset[ins.B], prog.consts[ins.A].Resize(w))
-			pc += 3
-
-		case opStepCopy:
-			s.steps++
-			if s.steps > maxSteps {
-				return vmErr, errBudget
-			}
-			w := int(ins.C)
-			v := s.store[s.design.wordOffset[ins.A]]
-			s.probeLine = ins.Line
-			s.commitFull(SignalID(ins.B), s.design.wordOffset[ins.B], v.Resize(w))
-			pc += 3
-
-		case opStepCopyNB:
-			s.steps++
-			if s.steps > maxSteps {
-				return vmErr, errBudget
-			}
-			w := int(ins.C)
-			v := s.store[s.design.wordOffset[ins.A]]
-			s.nba = append(s.nba, nbaUpdate{sig: SignalID(ins.B), mask: maskFor(w), value: v.Resize(w), line: ins.Line})
-			pc += 3
-
-		case opBrCmpK:
-			x, y := regs[ins.A], prog.consts[ins.B]
-			t := false
-			if x.Unknown|y.Unknown == 0 {
-				switch ins.D {
-				case cmpLt:
-					t = x.Bits < y.Bits
-				case cmpGt:
-					t = y.Bits < x.Bits
-				case cmpLe:
-					t = !(y.Bits < x.Bits)
-				case cmpGe:
-					t = !(x.Bits < y.Bits)
-				case cmpEq:
-					t = x.Bits == y.Bits
-				default:
-					t = x.Bits != y.Bits
-				}
-			}
-			if t {
-				pc += 2
-			} else {
-				pc = int(ins.C)
-			}
-
 		default:
 			return vmErr, fmt.Errorf("verilog: corrupt bytecode at pc %d (op %d)", pc, ins.Op)
 		}
-	}
-}
-
-// vmBinary computes one binary value opcode outside the dispatch loop —
-// the continuous-assign fast paths use it so `assign z = x op y` never
-// enters vmRun. The per-op bodies are copies of the vmRun cases; keep
-// them in sync (the property test cross-checks both against the tree
-// evaluator). K-variant opcodes alias their base semantics with y bound
-// to the program constant.
-func vmBinary(op OpCode, x, y Value) Value {
-	switch op {
-	case opAdd, opAddK:
-		w := max(x.Width, y.Width)
-		if w < 64 {
-			w++
-		}
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(w)
-		}
-		return NewValue(x.Bits+y.Bits, w)
-	case opSub, opSubK:
-		w := max(x.Width, y.Width)
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(w)
-		}
-		return NewValue(x.Bits-y.Bits, w)
-	case opMul, opMulK:
-		w := x.Width + y.Width
-		if w > 64 {
-			w = 64
-		}
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(w)
-		}
-		return NewValue(x.Bits*y.Bits, w)
-	case opDiv:
-		w := max(x.Width, y.Width)
-		if x.Unknown|y.Unknown != 0 || y.Bits == 0 {
-			return AllX(w)
-		}
-		return NewValue(x.Bits/y.Bits, w)
-	case opMod:
-		w := max(x.Width, y.Width)
-		if x.Unknown|y.Unknown != 0 || y.Bits == 0 {
-			return AllX(w)
-		}
-		return NewValue(x.Bits%y.Bits, w)
-	case opAnd, opAndK:
-		return And(x, y, max(x.Width, y.Width))
-	case opOr, opOrK:
-		return Or(x, y, max(x.Width, y.Width))
-	case opXor, opXorK:
-		return Xor(x, y, max(x.Width, y.Width))
-	case opXnor:
-		w := max(x.Width, y.Width)
-		return Not(Xor(x, y, w), w)
-	case opNand:
-		w := max(x.Width, y.Width)
-		return Not(And(x, y, w), w)
-	case opNor:
-		w := max(x.Width, y.Width)
-		return Not(Or(x, y, w), w)
-	case opShl, opShlK:
-		return Shl(x, y, x.Width)
-	case opShr, opShrK:
-		return Shr(x, y, x.Width)
-	case opEq, opEqK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(x.Bits == y.Bits)
-	case opNe, opNeK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(x.Bits != y.Bits)
-	case opCaseEq:
-		return cmpBool(x.Equal(y))
-	case opCaseNe:
-		return cmpBool(!x.Equal(y))
-	case opLt, opLtK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(x.Bits < y.Bits)
-	case opGt, opGtK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(y.Bits < x.Bits)
-	case opLe, opLeK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(!(y.Bits < x.Bits))
-	case opGe, opGeK:
-		if x.Unknown|y.Unknown != 0 {
-			return AllX(1)
-		}
-		return cmpBool(!(x.Bits < y.Bits))
-	case opLogAnd:
-		return LogicalAnd(x, y)
-	default: // opLogOr
-		return LogicalOr(x, y)
-	}
-}
-
-// vmUnary computes one unary value opcode outside the dispatch loop.
-func vmUnary(op OpCode, x Value) Value {
-	switch op {
-	case opNot:
-		return Not(x, x.Width)
-	case opNeg:
-		return Sub(NewValue(0, x.Width), x, x.Width)
-	case opLogNot:
-		return LogicalNot(x)
-	case opRedAnd:
-		return ReduceAnd(x)
-	case opRedOr:
-		return ReduceOr(x)
-	case opRedXor:
-		return ReduceXor(x)
-	case opRedNand:
-		return LogicalNot(ReduceAnd(x))
-	case opRedNor:
-		return LogicalNot(ReduceOr(x))
-	default: // opRedXnor
-		return LogicalNot(ReduceXor(x))
 	}
 }
 

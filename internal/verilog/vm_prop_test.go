@@ -1,8 +1,11 @@
 package verilog
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -154,8 +157,9 @@ func (g *exprGen) gen(depth int) Expr {
 }
 
 // evalBoth evaluates ex on the tree evaluator and on the VM from
-// identical simulator state and returns both outcomes.
-func evalBoth(t *testing.T, s *Simulator, ex Expr) (treeV Value, treeErr error, vmV Value, vmErr error) {
+// identical simulator state and returns both outcomes, plus the lowered
+// code the VM ran.
+func evalBoth(t *testing.T, s *Simulator, ex Expr) (treeV Value, treeErr error, vmV Value, vmErr error, code []Instr) {
 	t.Helper()
 	ev := evaluator{sim: s, scope: nil}
 
@@ -175,7 +179,7 @@ func evalBoth(t *testing.T, s *Simulator, ex Expr) (treeV Value, treeErr error, 
 	if vmErr == nil && prog.numRegs > 0 {
 		vmV = regs[0]
 	}
-	return treeV, treeErr, vmV, vmErr
+	return treeV, treeErr, vmV, vmErr, prog.code
 }
 
 func TestVMMatchesTreeEvaluatorOnRandomExprs(t *testing.T) {
@@ -184,6 +188,10 @@ func TestVMMatchesTreeEvaluatorOnRandomExprs(t *testing.T) {
 	g := &exprGen{rng: rng, d: d}
 
 	const trees = 5000
+	// compared counts each value opcode's occurrences in the lowered code
+	// of trees both engines evaluated without error — the trees whose
+	// values the loop below compares.
+	compared := map[OpCode]int{}
 	for i := 0; i < trees; i++ {
 		s := NewSimulator(d, SimOptions{Seed: uint64(i)})
 		// Randomize every signal word, including memories.
@@ -196,7 +204,12 @@ func TestVMMatchesTreeEvaluatorOnRandomExprs(t *testing.T) {
 		s.now = uint64(rng.Intn(1 << 20))
 
 		ex := g.gen(4)
-		treeV, treeErr, vmV, vmErr := evalBoth(t, s, ex)
+		treeV, treeErr, vmV, vmErr, code := evalBoth(t, s, ex)
+		if treeErr == nil && vmErr == nil {
+			for _, ins := range code {
+				compared[ins.Op]++
+			}
+		}
 		switch {
 		case (treeErr == nil) != (vmErr == nil):
 			t.Fatalf("tree %d: error divergence\n tree: %v (val %s)\n   vm: %v (val %s)",
@@ -211,33 +224,12 @@ func TestVMMatchesTreeEvaluatorOnRandomExprs(t *testing.T) {
 				vmV, vmV.Bits, vmV.Unknown, vmV.Width)
 		}
 	}
-}
-
-// TestVMHelpersMatchApply pins the out-of-loop helpers the continuous-
-// assign fast paths use (vmBinary/vmUnary) to the canonical applyBinary/
-// applyUnary semantics over random operand pairs.
-func TestVMHelpersMatchApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20000; i++ {
-		x := randValue(rng, 1+rng.Intn(64))
-		y := randValue(rng, 1+rng.Intn(64))
-		for opStr, opc := range binaryOps {
-			want, err := applyBinary(opStr, x, y)
-			if err != nil {
-				t.Fatalf("applyBinary(%q) errored: %v", opStr, err)
-			}
-			if got := vmBinary(opc, x, y); got != want {
-				t.Fatalf("vmBinary(%q, %s, %s) = %s, applyBinary = %s", opStr, x, y, got, want)
-			}
-		}
-		for opStr, opc := range unaryOps {
-			want, err := applyUnary(opStr, x)
-			if err != nil {
-				t.Fatalf("applyUnary(%q) errored: %v", opStr, err)
-			}
-			if got := vmUnary(opc, x); got != want {
-				t.Fatalf("vmUnary(%q, %s) = %s, applyUnary = %s", opStr, x, got, want)
-			}
+	// The comparison pins an operator's VM semantics to applyBinary/
+	// applyUnary only if some error-free tree actually ran it: every value
+	// opcode, constant-operand variants included, must have been compared.
+	for op := opNot; op <= opGeK; op++ {
+		if compared[op] == 0 {
+			t.Errorf("value opcode %d never compared: no error-free tree lowered to it (compared: %v)", op, compared)
 		}
 	}
 }
@@ -277,24 +269,13 @@ endmodule`
 	}
 }
 
-// withFusion runs fn with the fusePairs peephole forced on or off,
-// restoring the default afterwards. Programs compiled inside fn carry the
-// setting permanently (fusion happens at lowering), so fn must compile
-// everything it runs.
-func withFusion(on bool, fn func()) {
-	old := enableFusion
-	enableFusion = on
-	defer func() { enableFusion = old }()
-	fn()
-}
-
-// genFusionSource builds one random self-contained testbench whose hot
-// paths land on the fused opcodes: straight-line statements in loops and
-// always bodies, constant-compare loop tests, constant-seeded then
-// $random-perturbed counters, a small continuous-assign cone, an
-// uninitialized register so X actually flows through fused arithmetic,
-// and interleaved $display so the output stream pins evaluation order.
-func genFusionSource(rng *rand.Rand) string {
+// genRandomTestbench builds one random self-contained testbench:
+// straight-line statements in loops and always bodies, constant-compare
+// loop tests, constant-seeded then $random-perturbed counters, a small
+// continuous-assign cone, an uninitialized register so X actually flows
+// through the arithmetic and the cone, and interleaved $display so the
+// output stream pins evaluation order.
+func genRandomTestbench(rng *rand.Rand) string {
 	var b strings.Builder
 	ops := []string{"+", "-", "*", "&", "|", "^"}
 	b.WriteString("module tb;\n")
@@ -315,7 +296,7 @@ func genFusionSource(rng *rand.Rand) string {
 	b.WriteString("  initial begin\n")
 	b.WriteString("    clk = 0; rst = 1; a = 1; acc = 0;\n")
 	fmt.Fprintf(&b, "    x = %d;\n", rng.Intn(1<<16))
-	// y stays uninitialized here: the w0/w1 cone and any fused opcode
+	// y stays uninitialized here: the w0/w1 cone and any statement
 	// reading y must take the X path until the loop assigns it.
 	b.WriteString("    #4 rst = 0;\n")
 	n := 32 + rng.Intn(96)
@@ -325,7 +306,7 @@ func genFusionSource(rng *rand.Rand) string {
 	} else {
 		b.WriteString("      if (i == 3) y = x + 1;\n")
 	}
-	// A run of random straight-line statements: the fusion candidates.
+	// A run of random straight-line statements.
 	for s := 0; s < 3+rng.Intn(6); s++ {
 		dst := []string{"acc", "x", "a"}[rng.Intn(3)]
 		switch rng.Intn(4) {
@@ -351,30 +332,15 @@ func genFusionSource(rng *rand.Rand) string {
 	return b.String()
 }
 
-// fusionFingerprint compiles src fresh (so the active fusion setting is
-// baked into the programs) and renders everything observable about the
-// run as one string. It also counts the fused opcodes in the compiled
-// programs, by opcode.
-func fusionFingerprint(t *testing.T, src string, seed uint64, fused map[OpCode]int) string {
+// runFingerprint compiles and runs src and renders everything
+// observable about the run as one string: output stream (and with it
+// the $random draw order), check counts, termination, end time, runtime
+// error and final signal state.
+func runFingerprint(t *testing.T, src string, seed uint64) string {
 	t.Helper()
 	cd, err := Compile(src, "tb")
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
-	}
-	count := func(p *Program) {
-		for _, ins := range p.code {
-			if ins.Op >= opStepConst && ins.Op <= opStepCopyNB { // the fusePairs opcodes
-				fused[ins.Op]++
-			}
-		}
-	}
-	for _, pr := range cd.Design.procs {
-		count(pr.prog)
-	}
-	for _, ca := range cd.Design.assigns {
-		if ca.prog != nil {
-			count(ca.prog)
-		}
 	}
 	res, err := cd.Run(SimOptions{Seed: seed})
 	if err != nil {
@@ -389,35 +355,47 @@ func fusionFingerprint(t *testing.T, src string, seed uint64, fused map[OpCode]i
 		res.EndTime, rt, FormatSignals(res, "tb."))
 }
 
-// TestFusionIsObservationallyIdentical is the peephole's soundness
-// property: for random testbenches, the engine with fusePairs off must
-// produce a byte-identical simulation to the default fused engine: same
-// output stream, same $random draw order, same final signal state, same
-// termination.
-func TestFusionIsObservationallyIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
+// randomTBCase is one fixture entry: a generated testbench, the
+// simulation seed it runs under, and its recorded run fingerprint.
+type randomTBCase struct {
+	Seed        uint64 `json:"seed"`
+	Source      string `json:"source"`
+	Fingerprint string `json:"fingerprint"`
+}
+
+// TestRandomTestbenchGolden pins whole-testbench behaviour on a random
+// corpus: 25 genRandomTestbench sources (rng seed 20260808, one drawn
+// simulation seed each) must reproduce, byte for byte, the fingerprints
+// in testdata/random_tb_golden.json. The fixture was recorded before the
+// kernel's finish-time peephole and continuous-assign shortcut were
+// deleted, so it holds every process body and continuous assign — the
+// X-carrying `assign w0 = x ^ y; assign w1 = w0 op acc` cone included —
+// to the behaviour those mechanisms produced. There is no update path: a
+// divergence is a kernel regression, not a fixture change.
+func TestRandomTestbenchGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "random_tb_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []randomTBCase
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
 	const sources = 25
-	fusedOn, fusedOff := map[OpCode]int{}, map[OpCode]int{}
-	for sIdx := 0; sIdx < sources; sIdx++ {
-		src := genFusionSource(rng)
+	if len(want) != sources {
+		t.Fatalf("fixture holds %d cases, want %d", len(want), sources)
+	}
+	rng := rand.New(rand.NewSource(20260808))
+	for i, c := range want {
+		src := genRandomTestbench(rng)
 		seed := uint64(rng.Intn(1 << 30))
-		var want, got string
-		withFusion(true, func() { want = fusionFingerprint(t, src, seed, fusedOn) })
-		withFusion(false, func() { got = fusionFingerprint(t, src, seed, fusedOff) })
-		if got != want {
-			t.Fatalf("source %d: fusion off diverged\n want %s\n  got %s\nsource:\n%s",
-				sIdx, want, got, src)
+		if src != c.Source || seed != c.Seed {
+			t.Fatalf("case %d: generator no longer reproduces the fixture (seed %d, want %d)\n got source:\n%s\nwant source:\n%s",
+				i, seed, c.Seed, src, c.Source)
 		}
-	}
-	// The property is only meaningful if the corpus actually fused: the
-	// fused engine's programs must carry each of these opcodes (both
-	// peephole passes), and the reference engine's none at all.
-	for _, op := range []OpCode{opStepConst, opStepLoadSig, opLoadSig2, opBrCmpK, opStepConstStore} {
-		if fusedOn[op] == 0 {
-			t.Errorf("corpus compiled with fusion on has no opcode %d: fusion stopped firing (fused: %v)", op, fusedOn)
+		if got := runFingerprint(t, src, seed); got != c.Fingerprint {
+			t.Errorf("case %d: run diverged from the fixture\n want %s\n  got %s\nsource:\n%s",
+				i, c.Fingerprint, got, src)
 		}
-	}
-	if len(fusedOff) != 0 {
-		t.Errorf("corpus compiled with fusion off still has fused opcodes: %v", fusedOff)
 	}
 }
