@@ -42,7 +42,7 @@ test-short:
 
 # The E1–E12 quick-scale golden suite: every experiment row must match
 # internal/experiments/testdata byte for byte. It skips under -short, so
-# test-short never runs it; this target does (about 40 s).
+# test-short never runs it; this target does (about 5 s).
 golden:
 	$(GO) test -count=1 -run '^TestGoldenQuickScaleRows$$' ./internal/experiments
 
@@ -53,9 +53,13 @@ golden:
 # cross-level debugger (its cosimulation fan-out runs on the farm), and
 # the job service (its queue, SSE broadcasters and the report store
 # all cross goroutines), and the lint layer (its memo is shared by every
-# screened farm job).
+# screened farm job). The chaos storm runs on its own after the sweep,
+# still under -race: its 200 ms watchdog assumes the CPU is not shared
+# with every other race-built package at once, and on a 2-vCPU host the
+# parallel sweep starved it into spurious watchdog kills.
 test-race:
-	$(GO) test -race -short ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
+	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
+	$(GO) test -race -short -run '^TestChaosSurvival$$' ./internal/edaserver
 
 # Regenerate every paper artifact at quick scale.
 bench:

@@ -130,6 +130,9 @@ func (o RunOptions) withDefaults() RunOptions {
 	return o
 }
 
+// numClasses sizes the arrays indexed by isa.FUClass.
+const numClasses = isa.FUBranch + 1
+
 // Result reports functional and microarchitectural outcomes of one run.
 type Result struct {
 	// ReturnValue is a0 at halt.
@@ -144,7 +147,9 @@ type Result struct {
 	Cycles uint64
 	IPC    float64
 
-	ClassCounts map[isa.FUClass]uint64
+	// ClassCounts counts retired instructions per functional-unit class,
+	// indexed by isa.FUClass.
+	ClassCounts [numClasses]uint64
 	Branches    uint64
 	Mispredicts uint64
 	CacheAccess uint64
@@ -171,17 +176,12 @@ var ErrTrap = errors.New("boom: execution trap")
 // timing, activity and power results.
 func Run(p *isa.Program, opts RunOptions) *Result {
 	opts = opts.withDefaults()
-	cfg := opts.Config
-	m := newMachine(p, cfg)
-	res := &Result{ClassCounts: map[isa.FUClass]uint64{}}
+	m := newMachine(p, opts.Config)
+	res := &Result{}
 
+	var rec instRec
 	for res.Insts < opts.MaxInsts {
-		inst, trap := m.fetch()
-		if trap != nil {
-			res.Trap = trap
-			break
-		}
-		rec, halt, trap := m.exec(inst)
+		halt, trap := m.exec(&rec)
 		if trap != nil {
 			res.Trap = trap
 			break
@@ -193,7 +193,7 @@ func Run(p *isa.Program, opts RunOptions) *Result {
 		}
 		res.Insts++
 		res.ClassCounts[rec.class]++
-		m.timeInstruction(rec)
+		m.timeInstruction(&rec)
 		if rec.class == isa.FUBranch && rec.conditional {
 			res.Branches++
 			if rec.mispredicted {
@@ -257,16 +257,34 @@ type instRec struct {
 	isStore      bool
 }
 
+// Data memory is paged: a page is allocated by the first store into it,
+// and a word no store has touched reads 0. A page also holds its words'
+// store-to-load forwarding entries.
+const (
+	pageBits  = 10
+	pageWords = 1 << pageBits
+	// maxForward bounds the forwarding table: the insert that takes it
+	// past this many words clears every entry, the new one included.
+	maxForward = 1 << 16
+)
+
+type page struct {
+	words [pageWords]int32
+	// fwd is 1 + the completion cycle of the last store to each word, or
+	// 0 when the word has no forwarding entry.
+	fwd [pageWords]uint64
+}
+
 type machine struct {
-	prog *isa.Program
-	cfg  Config
-	regs [32]int32
-	mem  []int32
-	pc   int
+	prog  *isa.Program
+	cfg   Config
+	regs  [32]int32
+	pages []*page
+	pc    int
 
 	// timing state
 	regReady     [32]uint64
-	fuFree       map[isa.FUClass][]uint64
+	fuFree       [numClasses][]uint64
 	retireRing   []uint64 // retire cycles of the last ROBSize insts
 	ringPos      int
 	fetchCycle   uint64
@@ -284,20 +302,19 @@ type machine struct {
 	lru  [][]uint64
 	tick uint64
 
-	// store-to-load timing
-	storeReady map[int32]uint64
+	// store-to-load timing: the addresses of the words that hold a
+	// forwarding entry
+	forwarded []int32
 }
 
 func newMachine(p *isa.Program, cfg Config) *machine {
 	m := &machine{
 		prog:       p,
 		cfg:        cfg,
-		mem:        make([]int32, cfg.MemWords),
+		pages:      make([]*page, (cfg.MemWords+pageWords-1)/pageWords),
 		pc:         p.Start,
-		fuFree:     map[isa.FUClass][]uint64{},
 		retireRing: make([]uint64, cfg.ROBSize),
 		bpred:      make([]uint8, 1<<uint(cfg.BPredBits)),
-		storeReady: map[int32]uint64{},
 	}
 	m.regs[isa.RegSP] = int32(cfg.MemWords - 1)
 	m.regs[isa.RegGP] = 0
@@ -317,13 +334,6 @@ func newMachine(p *isa.Program, cfg Config) *machine {
 		}
 	}
 	return m
-}
-
-func (m *machine) fetch() (isa.Inst, error) {
-	if m.pc < 0 || m.pc >= len(m.prog.Insts) {
-		return isa.Inst{}, fmt.Errorf("%w: pc %d out of range", ErrTrap, m.pc)
-	}
-	return m.prog.Insts[m.pc], nil
 }
 
 // cacheAccess updates the L1D state and reports whether it missed.
@@ -375,10 +385,15 @@ func boolBit(b bool) uint32 {
 	return 0
 }
 
-// exec functionally executes one instruction, advancing pc, and returns
-// the record for the timing model.
-func (m *machine) exec(in isa.Inst) (instRec, bool, error) {
-	rec := instRec{class: in.Op.Class(), rs1: in.Rs1, rs2: in.Rs2, rd: in.Rd}
+// exec functionally executes the instruction at pc, advancing pc, and
+// fills rec for the timing model. It reports whether the instruction was
+// HALT.
+func (m *machine) exec(rec *instRec) (bool, error) {
+	if m.pc < 0 || m.pc >= len(m.prog.Insts) {
+		return false, fmt.Errorf("%w: pc %d out of range", ErrTrap, m.pc)
+	}
+	in := &m.prog.Insts[m.pc]
+	*rec = instRec{class: in.Op.Class(), rs1: in.Rs1, rs2: in.Rs2, rd: in.Rd}
 	r := &m.regs
 	rd := func(v int32) {
 		if in.Rd != 0 {
@@ -388,7 +403,7 @@ func (m *machine) exec(in isa.Inst) (instRec, bool, error) {
 	next := m.pc + 1
 	switch in.Op {
 	case isa.OpHalt:
-		return rec, true, nil
+		return true, nil
 	case isa.OpAdd:
 		rd(r[in.Rs1] + r[in.Rs2])
 	case isa.OpSub:
@@ -454,22 +469,31 @@ func (m *machine) exec(in isa.Inst) (instRec, bool, error) {
 		rd(int32(in.Imm) << 12)
 	case isa.OpLw:
 		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || int(addr) >= len(m.mem) {
-			return rec, false, fmt.Errorf("%w: load address %d out of range at pc %d", ErrTrap, addr, m.pc)
+		if addr < 0 || int(addr) >= m.cfg.MemWords {
+			return false, fmt.Errorf("%w: load address %d out of range at pc %d", ErrTrap, addr, m.pc)
 		}
 		rec.memAddr = addr
 		rec.isLoad = true
 		rec.cacheMiss = m.cacheAccess(addr)
-		rd(m.mem[addr])
+		var v int32
+		if pg := m.pages[addr>>pageBits]; pg != nil {
+			v = pg.words[addr&(pageWords-1)]
+		}
+		rd(v)
 	case isa.OpSw:
 		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || int(addr) >= len(m.mem) {
-			return rec, false, fmt.Errorf("%w: store address %d out of range at pc %d", ErrTrap, addr, m.pc)
+		if addr < 0 || int(addr) >= m.cfg.MemWords {
+			return false, fmt.Errorf("%w: store address %d out of range at pc %d", ErrTrap, addr, m.pc)
 		}
 		rec.memAddr = addr
 		rec.isStore = true
 		rec.cacheMiss = m.cacheAccess(addr)
-		m.mem[addr] = m.regs[in.Rs2]
+		pg := m.pages[addr>>pageBits]
+		if pg == nil {
+			pg = new(page)
+			m.pages[addr>>pageBits] = pg
+		}
+		pg.words[addr&(pageWords-1)] = m.regs[in.Rs2]
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
 		taken := false
 		a, b := r[in.Rs1], r[in.Rs2]
@@ -500,10 +524,10 @@ func (m *machine) exec(in isa.Inst) (instRec, bool, error) {
 		rd(int32(m.pc + 1))
 		next = t
 	default:
-		return rec, false, fmt.Errorf("%w: illegal opcode %v at pc %d", ErrTrap, in.Op, m.pc)
+		return false, fmt.Errorf("%w: illegal opcode %v at pc %d", ErrTrap, in.Op, m.pc)
 	}
 	m.pc = next
-	return rec, false, nil
+	return false, nil
 }
 
 func boolReg(b bool) int32 {
@@ -514,8 +538,8 @@ func boolReg(b bool) int32 {
 }
 
 // timeInstruction advances the interval timing model by one instruction.
-func (m *machine) timeInstruction(rec instRec) {
-	cfg := m.cfg
+func (m *machine) timeInstruction(rec *instRec) {
+	cfg := &m.cfg
 
 	// Fetch bandwidth: FetchWidth instructions per cycle.
 	m.fetchInGroup++
@@ -541,8 +565,10 @@ func (m *machine) timeInstruction(rec instRec) {
 		ready = t
 	}
 	if rec.isLoad {
-		if t, ok := m.storeReady[rec.memAddr]; ok && t > ready {
-			ready = t
+		if pg := m.pages[rec.memAddr>>pageBits]; pg != nil {
+			if f := pg.fwd[rec.memAddr&(pageWords-1)]; f != 0 && f-1 > ready {
+				ready = f - 1
+			}
 		}
 	}
 
@@ -581,10 +607,7 @@ func (m *machine) timeInstruction(rec instRec) {
 		m.regReady[rec.rd] = complete
 	}
 	if rec.isStore {
-		m.storeReady[rec.memAddr] = complete
-		if len(m.storeReady) > 1<<16 {
-			m.storeReady = map[int32]uint64{} // bound the forwarding table
-		}
+		m.forward(rec.memAddr, complete)
 	}
 
 	// Branch resolution: mispredicts refill the frontend.
@@ -615,5 +638,22 @@ func (m *machine) timeInstruction(rec instRec) {
 	m.ringPos = (m.ringPos + 1) % cfg.ROBSize
 	if retire > m.lastRetire {
 		m.lastRetire = retire
+	}
+}
+
+// forward records a store's completion cycle as its word's forwarding
+// entry. The insert that takes the table past maxForward words clears
+// every entry, the new one included.
+func (m *machine) forward(addr int32, complete uint64) {
+	slot := &m.pages[addr>>pageBits].fwd[addr&(pageWords-1)]
+	if *slot == 0 {
+		m.forwarded = append(m.forwarded, addr)
+	}
+	*slot = complete + 1
+	if len(m.forwarded) > maxForward {
+		for _, a := range m.forwarded {
+			m.pages[a>>pageBits].fwd[a&(pageWords-1)] = 0
+		}
+		m.forwarded = m.forwarded[:0]
 	}
 }

@@ -1,7 +1,7 @@
 // Package rag implements the retrieval substrate of the Fig. 2 repair
-// framework: a TF-IDF cosine index over correction templates, plus the
-// Levenshtein distance used both for similarity retrieval and for the
-// SLT candidate-pool diversity pressure (§V).
+// framework: a TF-IDF cosine index over correction templates, ranked by
+// score with ties broken on template name. It also holds the edit-distance
+// test behind the SLT candidate-pool diversity pressure (§V).
 package rag
 
 import (
@@ -141,9 +141,8 @@ func (l *Library) Retrieve(query string, k int) []Hit {
 	return hits
 }
 
-// Levenshtein returns the edit distance between two strings. The SLT loop
-// uses it to keep the candidate pool diverse; retrieval uses it as a
-// tie-breaker for near-identical templates.
+// Levenshtein returns the edit distance between two strings. It is the
+// exact reference that WithinNormalized answers a threshold question about.
 func Levenshtein(a, b string) int {
 	if a == b {
 		return 0
@@ -184,6 +183,87 @@ func NormalizedLevenshtein(a, b string) float64 {
 		return 0
 	}
 	return float64(Levenshtein(a, b)) / float64(n)
+}
+
+// WithinNormalized reports whether NormalizedLevenshtein(a, b) < limit,
+// without computing the full distance. With n the longer length, k is the
+// largest distance d for which d/n < limit. Only a diagonal band of
+// half-width k can hold a path of cost at most k, so the test fills that
+// band alone and gives up at the first row whose minimum exceeds k
+// (Ukkonen's cut-off, "Algorithms for approximate string matching",
+// Information and Control, 1985).
+func WithinNormalized(a, b string, limit float64) bool {
+	n := max(len(a), len(b))
+	if n == 0 {
+		return 0 < limit
+	}
+	// k comes from the comparison the exact test makes, d/n < limit, so
+	// the two agree at the boundary. A distance never exceeds n.
+	nf := float64(n)
+	k := -1
+	if est := limit * nf; est >= nf {
+		k = n
+	} else if est >= 0 {
+		k = int(est)
+	}
+	for k >= 0 && !(float64(k)/nf < limit) {
+		k--
+	}
+	for k < n && float64(k+1)/nf < limit {
+		k++
+	}
+	switch {
+	case k < 0:
+		return false
+	case a == b:
+		return true
+	case len(a)-len(b) > k || len(b)-len(a) > k:
+		return false
+	}
+	// prev[d] and cur[d] hold row i-1 and row i of the distance matrix at
+	// column j = i-k+d; cells off the matrix or off the band read as k+1.
+	w := 2*k + 1
+	prev := make([]int, w)
+	cur := make([]int, w)
+	for d := range prev {
+		if j := d - k; j >= 0 && j <= len(b) {
+			prev[d] = j
+		} else {
+			prev[d] = k + 1
+		}
+	}
+	for i := 1; i <= len(a); i++ {
+		rowMin := k + 1
+		for d := 0; d < w; d++ {
+			j := i - k + d
+			v := k + 1
+			switch {
+			case j < 0 || j > len(b):
+			case j == 0:
+				v = i
+			default:
+				v = prev[d]
+				if a[i-1] != b[j-1] {
+					v++
+				}
+				if d+1 < w && prev[d+1]+1 < v {
+					v = prev[d+1] + 1
+				}
+				if d > 0 && cur[d-1]+1 < v {
+					v = cur[d-1] + 1
+				}
+			}
+			cur[d] = v
+			if v < rowMin {
+				rowMin = v
+			}
+		}
+		if rowMin > k {
+			return false
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)-len(a)+k] <= k
 }
 
 func minInt(xs ...int) int {

@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,114 @@ func TestNormalizedLevenshtein(t *testing.T) {
 	if d := NormalizedLevenshtein("", ""); d != 0 {
 		t.Errorf("empty = %f", d)
 	}
+}
+
+// randText draws n bytes from a four-letter alphabet, so that random
+// texts share many characters and the distance matrix has real ties.
+func randText(rng *rand.Rand, n int) string {
+	buf := make([]byte, n)
+	for i := range buf {
+		buf[i] = "abcd"[rng.Intn(4)]
+	}
+	return string(buf)
+}
+
+// editText applies m random single-character insertions, deletions and
+// substitutions, so the result is at most m edits from s.
+func editText(rng *rand.Rand, s string, m int) string {
+	b := []byte(s)
+	for ; m > 0; m-- {
+		pos := rng.Intn(len(b) + 1)
+		switch op := rng.Intn(3); {
+		case op == 0 || len(b) == 0:
+			b = append(b[:pos], append([]byte{"abcd"[rng.Intn(4)]}, b[pos:]...)...)
+		case op == 1 && pos < len(b):
+			b = append(b[:pos], b[pos+1:]...)
+		case pos < len(b):
+			b[pos] = "abcd"[rng.Intn(4)]
+		}
+	}
+	return string(b)
+}
+
+// TestWithinNormalizedMatchesExact checks the cut-off test against the
+// exact distance on 200,000 random pairs. Each second text is the first
+// one edited up to about twice the threshold distance, so roughly half of
+// the pairs are near; a quarter use the production limit 0.05 and a
+// quarter a limit m/n that the threshold distance reaches exactly.
+func TestWithinNormalizedMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	const pairs = 200_000
+	near := 0
+	for i := 0; i < pairs; i++ {
+		a := randText(rng, 1+rng.Intn(80))
+		limit := 0.02 + 0.2*rng.Float64()
+		if i%4 == 0 {
+			limit = 0.05
+		}
+		b := editText(rng, a, rng.Intn(int(2*limit*float64(len(a)))+3))
+		if i%4 == 1 {
+			n := max(len(a), len(b))
+			limit = float64(1+rng.Intn(n/4+1)) / float64(n)
+		}
+		want := NormalizedLevenshtein(a, b) < limit
+		if got := WithinNormalized(a, b, limit); got != want {
+			t.Fatalf("WithinNormalized(%q, %q, %v) = %v, exact distance %d says %v",
+				a, b, limit, got, Levenshtein(a, b), want)
+		}
+		if want {
+			near++
+		}
+	}
+	t.Logf("%d of %d pairs near", near, pairs)
+	if near < pairs/3 || near > 2*pairs/3 {
+		t.Errorf("%d of %d pairs near; the corpus no longer straddles the threshold", near, pairs)
+	}
+}
+
+func TestWithinNormalizedEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a96 := randText(rng, 96)
+	a95 := a96[:95]
+	// n = 100 and limit 0.05: limit·n = 5 is an integer, 5/100 < 0.05
+	// fails, so the largest near distance is k = 4.
+	cases := []struct {
+		name  string
+		a, b  string
+		limit float64
+		want  bool
+	}{
+		{"both empty", "", "", 0.05, true},
+		{"both empty, zero limit", "", "", 0, false},
+		{"one empty", "", "abc", 0.05, false},
+		{"one empty, limit above 1", "abc", "", 1.5, true},
+		{"equal", a96, a96, 0.05, true},
+		{"equal, zero limit", a96, a96, 0, false},
+		{"length gap k", a96, a96 + "abcd", 0.05, true},
+		{"length gap k, swapped", a96 + "abcd", a96, 0.05, true},
+		{"length gap k+1", a95, a95 + "abcdd", 0.05, false},
+		{"k substitutions at integer limit·n", a96 + "abcd", editSubst(a96, 4) + "abcd", 0.05, true},
+		{"k+1 substitutions at integer limit·n", a96 + "abcd", editSubst(a96, 5) + "abcd", 0.05, false},
+		{"limit 1/20 at n = 20", a96[:20], editSubst(a96[:20], 1), 1.0 / 20, false},
+		{"negative limit", "ab", "ab", -1, false},
+	}
+	for _, c := range cases {
+		if exact := NormalizedLevenshtein(c.a, c.b) < c.limit; exact != c.want {
+			t.Fatalf("%s: case expects %v but the exact test says %v", c.name, c.want, exact)
+		}
+		if got := WithinNormalized(c.a, c.b, c.limit); got != c.want {
+			t.Errorf("%s: WithinNormalized = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// editSubst changes the first m characters of s to ones that differ.
+func editSubst(s string, m int) string {
+	b := []byte(s)
+	for i := 0; i < m; i++ {
+		b[i] = 'x'
+	}
+	return string(b)
 }
 
 func TestLibrarySize(t *testing.T) {

@@ -272,15 +272,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Detail: fmt.Sprintf("best so far %.3f W", res.Best.Score),
 		})
 
-		// Pool update with diversity pressure.
-		minDist := 1.0
+		// Pool update with diversity pressure: the snippet is a near
+		// duplicate when it is within 5% normalized edit distance of some
+		// pool entry.
+		nearDup := false
 		for _, sn := range res.Pool {
-			if d := rag.NormalizedLevenshtein(resp.Text, sn.Source); d < minDist {
-				minDist = d
+			if rag.WithinNormalized(resp.Text, sn.Source, 0.05) {
+				nearDup = true
+				break
 			}
 		}
 		accept := score > 0
-		if cfg.DiversityPressure && minDist < 0.05 && score <= poolMin(res.Pool) {
+		if cfg.DiversityPressure && nearDup && score <= poolMin(res.Pool) {
 			accept = false // near-duplicate that does not improve anything
 		}
 		if accept {
@@ -300,7 +303,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			default:
 				temp += 0.02
 			}
-			if minDist < 0.05 {
+			if nearDup {
 				temp += 0.12 // pool converging: force diversity
 			}
 			if temp < tempMin {
