@@ -52,13 +52,15 @@ golden:
 # body memo and compiled designs are shared across concurrent runs), the
 # cross-level debugger (its cosimulation fan-out runs on the farm), and
 # the job service (its queue, SSE broadcasters and the report store
-# all cross goroutines), and the lint layer (its memo is shared by every
-# screened farm job). The chaos storm runs on its own after the sweep,
-# still under -race: its 200 ms watchdog assumes the CPU is not shared
-# with every other race-built package at once, and on a 2-vCPU host the
-# parallel sweep starved it into spurious watchdog kills.
+# all cross goroutines), the lint layer (its memo is shared by every
+# screened farm job), and the benchmark suite (one set of problems and
+# testbench memos serves every job). The chaos storm runs on its own
+# after the sweep, still under -race: its 200 ms watchdog assumes the
+# CPU is not shared with every other race-built package at once, and on
+# a 2-vCPU host the parallel sweep starved it into spurious watchdog
+# kills.
 test-race:
-	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
+	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls ./internal/benchset
 	$(GO) test -race -short -run '^TestChaosSurvival$$' ./internal/edaserver
 
 # Regenerate every paper artifact at quick scale.

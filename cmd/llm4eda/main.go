@@ -306,7 +306,7 @@ func cmdList() error {
 }
 
 func firstSentence(s string) string {
-	if i := strings.IndexByte(s, ':'); i > 0 && i < 60 {
+	if i := strings.Index(s, ": "); i > 0 && i < 60 {
 		return s[:i]
 	}
 	if len(s) > 60 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"llm4eda/eda"
+	"llm4eda/internal/benchset"
 )
 
 func TestRunDispatch(t *testing.T) {
@@ -144,8 +145,15 @@ func TestParamFlags(t *testing.T) {
 }
 
 func TestFirstSentence(t *testing.T) {
-	if got := firstSentence("A 4-bit adder: does things"); got != "A 4-bit adder" {
-		t.Errorf("firstSentence = %q", got)
+	for spec, want := range map[string]string{
+		"A 4-bit adder: does things": "A 4-bit adder",
+		// A colon inside a ratio is not the end of the sentence.
+		benchset.ByID("mux2").Spec: "An 8-bit 2:1 multiplexer",
+		benchset.ByID("mux4").Spec: "An 8-bit 4:1 multiplexer with a 2-bit select",
+	} {
+		if got := firstSentence(spec); got != want {
+			t.Errorf("firstSentence(%q) = %q, want %q", spec, got, want)
+		}
 	}
 	long := strings.Repeat("x", 128)
 	if got := firstSentence(long); len(got) > 64 {

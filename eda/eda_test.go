@@ -1,6 +1,7 @@
 package eda_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"llm4eda/eda"
 	"llm4eda/internal/autochip"
 	"llm4eda/internal/core"
+	"llm4eda/internal/simfarm"
 	"llm4eda/internal/slt"
 )
 
@@ -94,6 +96,52 @@ func TestEveryFrameworkInvocable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoStateCarriesAcrossRuns runs every framework's quick spec twice
+// in a row, all frameworks at once so that their runs interleave, and
+// requires each second report to encode exactly like the first. Runs
+// share the benchmark suite, the default correction library and the lint
+// mutant memo: a run that edited any of them would change the next
+// run's report, and under make test-race the concurrent frameworks also
+// check the sharing for races. Wall times (the run's and each agent
+// stage's) and the shared farm's counter deltas observe the process, not
+// the spec, and are cleared before comparing.
+func TestNoStateCarriesAcrossRuns(t *testing.T) {
+	specs := quickSpecs()
+	var wg sync.WaitGroup
+	for _, fw := range eda.Frameworks() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var first []byte
+			for run := 1; run <= 2; run++ {
+				report, err := eda.Run(context.Background(), specs[fw])
+				if err != nil {
+					t.Errorf("%s run %d: %v", fw, run, err)
+					return
+				}
+				report.Elapsed, report.Cache = 0, simfarm.FarmStats{}
+				if flows, ok := report.Detail.([]*core.Report); ok {
+					for _, f := range flows {
+						for j := range f.Stages {
+							f.Stages[j].Duration = 0
+						}
+					}
+				}
+				b, err := report.JSON()
+				if err != nil {
+					t.Errorf("%s run %d: %v", fw, run, err)
+					return
+				}
+				if first != nil && !bytes.Equal(b, first) {
+					t.Errorf("%s: the second run's report differs from the first:\n%s\n%s", fw, first, b)
+				}
+				first = b
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFrameworkEventsFlow asserts the framework-level stream reaches the

@@ -3,6 +3,7 @@ package eda
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"llm4eda/internal/agent"
 	"llm4eda/internal/autochip"
@@ -487,13 +488,7 @@ func runXDebug(ctx context.Context, spec Spec) (*Report, error) {
 // the injected mutant class ("" = none).
 func lintCandidate(p *benchset.Problem, model llm.Model, seed uint64, mutant int) (string, string) {
 	if mutant > 0 {
-		var errs []vlint.Mutant
-		for _, m := range vlint.Mutants(p.Reference) {
-			if m.IsErrorClass() {
-				errs = append(errs, m)
-			}
-		}
-		if len(errs) > 0 {
+		if errs := errorClassMutants(p); len(errs) > 0 {
 			m := errs[(int(seed)+mutant-1)%len(errs)]
 			return m.Source, m.Class
 		}
@@ -509,6 +504,27 @@ func lintCandidate(p *benchset.Problem, model llm.Model, seed uint64, mutant int
 		return p.Reference, ""
 	}
 	return resp.Text, ""
+}
+
+// lintMutants memoizes errorClassMutants by problem ID. Mutants are a
+// pure function of the shared reference, and the key set is bounded by
+// the suite because checkProblem rejects unknown IDs.
+var lintMutants sync.Map // problem ID -> []vlint.Mutant
+
+// errorClassMutants returns the reference's error-class lint mutants in
+// vlint.Mutants order. The slice is shared: callers only read it.
+func errorClassMutants(p *benchset.Problem) []vlint.Mutant {
+	if errs, ok := lintMutants.Load(p.ID); ok {
+		return errs.([]vlint.Mutant)
+	}
+	var errs []vlint.Mutant
+	for _, m := range vlint.Mutants(p.Reference) {
+		if m.IsErrorClass() {
+			errs = append(errs, m)
+		}
+	}
+	stored, _ := lintMutants.LoadOrStore(p.ID, errs)
+	return stored.([]vlint.Mutant)
 }
 
 func runLint(ctx context.Context, spec Spec) (*Report, error) {

@@ -12,6 +12,7 @@ package benchset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -24,7 +25,9 @@ type Port struct {
 	IsInput bool
 }
 
-// Problem is one benchmark entry.
+// Problem is one benchmark entry. Problems are built once per process and
+// shared by every caller, across goroutines: treat every field as
+// read-only.
 type Problem struct {
 	ID         string
 	Spec       string
@@ -183,22 +186,35 @@ func sweep1(name string, n uint64) []map[string]uint64 {
 	return out
 }
 
-// Suite returns the full benchmark suite, ordered by ID.
-func Suite() []*Problem {
+// suite builds the problems and their ID index on first use and shares
+// them for the life of the process: a build takes about 26k allocations,
+// and a served job looks problems up three or four times.
+var suite = sync.OnceValues(func() ([]*Problem, map[string]*Problem) {
 	var ps []*Problem
 	ps = append(ps, combSuite()...)
 	ps = append(ps, seqSuite()...)
-	return attachCModels(ps)
+	ps = attachCModels(ps)
+	byID := make(map[string]*Problem, len(ps))
+	for _, p := range ps {
+		byID[p.ID] = p
+	}
+	return ps, byID
+})
+
+// Suite returns the full benchmark suite in construction order: the
+// combinational problems, then the sequential ones. The slice is a fresh
+// copy the caller may reorder or truncate; the problems it points to are
+// shared.
+func Suite() []*Problem {
+	ps, _ := suite()
+	return slices.Clone(ps)
 }
 
-// ByID returns the named problem, or nil.
+// ByID returns the named problem, or nil. It is the same pointer Suite
+// holds for that ID.
 func ByID(id string) *Problem {
-	for _, p := range Suite() {
-		if p.ID == id {
-			return p
-		}
-	}
-	return nil
+	_, byID := suite()
+	return byID[id]
 }
 
 // EightDesignSet returns the 8-problem subset mirroring the benchmark set

@@ -1,10 +1,42 @@
 package benchset
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"llm4eda/internal/verilog"
 )
+
+// TestConcurrentCallersShareOneSuite has eight goroutines look every
+// problem up and build its testbench at once, each starting at a
+// different problem, and checks them against a privately built suite.
+// It is the first test in the package, so a plain run also races the
+// suite's first build and every testbench memo; make test-race runs it
+// under the race detector.
+func TestConcurrentCallersShareOneSuite(t *testing.T) {
+	fresh := attachCModels(append(combSuite(), seqSuite()...))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range fresh {
+				k := (i + w) % len(fresh)
+				want := fresh[k]
+				p := ByID(want.ID)
+				if p == nil || p != Suite()[k] {
+					t.Errorf("ByID(%q) is not the suite's entry %d", want.ID, k)
+					return
+				}
+				if p.Testbench() != want.Testbench() {
+					t.Errorf("%s: shared testbench differs from a fresh build", p.ID)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 // TestAllReferencesPass is the suite's ground-truth guarantee: every
 // reference implementation passes its own full testbench.
@@ -61,8 +93,10 @@ func TestSuiteShape(t *testing.T) {
 }
 
 func TestByIDAndEightDesignSet(t *testing.T) {
-	if ByID("adder4") == nil {
-		t.Error("ByID(adder4) = nil")
+	for _, p := range Suite() {
+		if got := ByID(p.ID); got != p {
+			t.Errorf("ByID(%q) = %p, want the suite's entry %p", p.ID, got, p)
+		}
 	}
 	if ByID("no-such") != nil {
 		t.Error("ByID(no-such) != nil")
@@ -72,6 +106,41 @@ func TestByIDAndEightDesignSet(t *testing.T) {
 		t.Fatalf("EightDesignSet has %d problems", len(eight))
 	}
 }
+
+// TestSuiteResultIsTheCallersOwn checks that reordering, overwriting,
+// truncating or appending to one Suite result cannot reach the next
+// call: each call returns a fresh slice over the same shared problems.
+func TestSuiteResultIsTheCallersOwn(t *testing.T) {
+	// A private copy, so that a Suite handing out its own slice cannot
+	// edit the expectation along with the result.
+	want := slices.Clone(Suite())
+	slices.Reverse(Suite())
+	overwritten := Suite()
+	overwritten[0] = &Problem{ID: "overwritten"}
+	truncated := Suite()[:1]
+	_ = append(truncated, &Problem{ID: "appended"})
+	if got := Suite(); !slices.Equal(got, want) {
+		t.Errorf("Suite changed after callers edited earlier results: %d problems, first %q", len(got), got[0].ID)
+	}
+}
+
+// TestLookupsDoNotRebuild pins the cost of a lookup once the suite
+// exists: ByID allocates nothing and Suite only its slice copy. Building
+// the suite takes about 26k allocations.
+func TestLookupsDoNotRebuild(t *testing.T) {
+	Suite()
+	if n := testing.AllocsPerRun(100, func() { sinkProblem = ByID("alu8") }); n != 0 {
+		t.Errorf("ByID: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkSuite = Suite() }); n != 1 {
+		t.Errorf("Suite: %v allocations per call, want 1", n)
+	}
+}
+
+var (
+	sinkProblem *Problem
+	sinkSuite   []*Problem
+)
 
 // TestTruncatedTestbenchStillRuns checks the coverage-loss model's
 // assumption: a testbench with only the first vector block still compiles

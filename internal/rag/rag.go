@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -22,7 +23,8 @@ type Template struct {
 	Body string
 }
 
-// Library is an immutable searchable template collection.
+// Library is an immutable searchable template collection; concurrent
+// Retrieve calls are safe.
 type Library struct {
 	templates []Template
 	idf       map[string]float64
@@ -279,8 +281,11 @@ func minInt(xs ...int) int {
 // DefaultCorrectionLibrary returns the repair templates the Fig. 2 flow
 // retrieves from. Bodies carry the canonical parameters (bound=...) the
 // simulated model extracts; a production deployment would carry worked
-// code examples in the same slots.
-func DefaultCorrectionLibrary() *Library {
+// code examples in the same slots. Every call returns the same shared
+// Library, indexed on first use.
+func DefaultCorrectionLibrary() *Library { return defaultLibrary() }
+
+var defaultLibrary = sync.OnceValue(func() *Library {
 	return NewLibrary([]Template{
 		{
 			Name: "malloc-to-static-array",
@@ -325,4 +330,4 @@ func DefaultCorrectionLibrary() *Library {
 			Body: "Replace variable-length arrays with worst-case static arrays (static array bound=1024).",
 		},
 	})
-}
+})
