@@ -1,13 +1,13 @@
 # Tier-1 verification and the engine-specific gates. `make ci` is what a
 # PR must pass: build, vet, gofmt cleanliness, the quick test sweep, the
-# E1–E12 golden suite, the race-checked batch engine, the service smokes
-# and the benchmark module check (.github/workflows/ci.yml runs exactly
-# this target).
+# E1–E12 golden suite, a short fuzz run, the race-checked batch engine,
+# the service smokes and the benchmark module check
+# (.github/workflows/ci.yml runs exactly this target).
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check lint-go test test-short test-race golden bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
+.PHONY: all build vet fmt-check lint-go test test-short test-race golden fuzz-smoke bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
 
 all: build
 
@@ -45,6 +45,13 @@ test-short:
 # test-short never runs it; this target does (about 5 s).
 golden:
 	$(GO) test -count=1 -run '^TestGoldenQuickScaleRows$$' ./internal/experiments
+
+# Fuzz the §V scoring path (C parser, compiler, processor model) with
+# arbitrary C text for a few seconds: FuzzScore in internal/slt. A
+# failing input lands in internal/slt/testdata/fuzz/FuzzScore; commit it
+# with the fix, and plain `go test` replays it from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScore$$' -fuzztime 5s ./internal/slt
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks
@@ -209,4 +216,4 @@ chaos-test:
 chaos-smoke:
 	$(GO) test -run TestChaosSurvival -short -timeout 120s ./internal/edaserver
 
-ci: build vet fmt-check lint-go test-short golden test-race chaos-smoke serve-smoke load-smoke bench-check
+ci: build vet fmt-check lint-go test-short golden fuzz-smoke test-race chaos-smoke serve-smoke load-smoke bench-check

@@ -361,6 +361,22 @@ func TestRepairPartialReportOnCancel(t *testing.T) {
 	}
 }
 
+// TestRepairRejectsDeeplyNestedSource: a repair Source nested past the
+// C parser's depth cap passes validation and then fails the run with a
+// parse error, rather than overflowing the stack in the parser.
+func TestRepairRejectsDeeplyNestedSource(t *testing.T) {
+	const n = 100_000
+	spec := eda.Spec{Framework: "repair", Kernel: "f", Vectors: [][]int64{{1}},
+		Source: "int f(int a) { return " + strings.Repeat("(", n) + "a" + strings.Repeat(")", n) + "; }"}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	_, err := eda.Run(context.Background(), spec)
+	if err == nil || !strings.Contains(err.Error(), "nesting deeper") {
+		t.Fatalf("err = %v, want a nesting parse error", err)
+	}
+}
+
 // TestPreCancelledLoopsDoNoScoring: the slt seed pool and the gp initial
 // population — the batch work before each main loop — must also respect
 // a context that is dead on arrival, and a cancelled run must never

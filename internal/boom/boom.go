@@ -20,118 +20,77 @@ import (
 	"llm4eda/internal/isa"
 )
 
-// Config parameterizes the core. The default mirrors a MediumBoom-class
-// configuration on an FPGA.
-type Config struct {
-	FetchWidth  int
-	CommitWidth int
-	ROBSize     int
+// The core is a MediumBoom-class configuration on an FPGA, the one
+// configuration the reproduction runs. Its parameters are compile-time
+// constants, so the per-instruction path divides by none of them: the
+// cache line, set and tag are shifts and masks, and the reorder-buffer
+// ring wraps with a compare.
+const (
+	fetchWidth  = 4
+	commitWidth = 4
+	robSize     = 96
 
-	NumALU int
-	NumMul int
-	NumDiv int
-	NumMem int
+	numALU = 3
+	numMul = 1
+	numDiv = 1
+	numMem = 2
 
-	ALULat int
-	MulLat int
-	DivLat int // unpipelined
+	aluLat = 1
+	mulLat = 3
+	divLat = 16 // unpipelined
 
-	BPredBits         int // gshare history/table bits
-	MispredictPenalty int
+	bpredBits         = 12 // gshare history/table bits
+	mispredictPenalty = 9
 
-	L1Sets      int
-	L1Ways      int
-	L1LineWords int
-	HitLat      int
-	MissLat     int
+	l1Sets      = 64
+	l1Ways      = 4
+	l1LineWords = 8
+	hitLat      = 2
+	missLat     = 24
 
-	MemWords int
-	FreqMHz  float64
-}
+	memWords = 1 << 20
+	freqMHz  = 75
+)
 
-// DefaultConfig returns the MediumBoom-on-FPGA-like configuration used
-// throughout the reproduction.
-func DefaultConfig() Config {
-	return Config{
-		FetchWidth:        4,
-		CommitWidth:       4,
-		ROBSize:           96,
-		NumALU:            3,
-		NumMul:            1,
-		NumDiv:            1,
-		NumMem:            2,
-		ALULat:            1,
-		MulLat:            3,
-		DivLat:            16,
-		BPredBits:         12,
-		MispredictPenalty: 9,
-		L1Sets:            64,
-		L1Ways:            4,
-		L1LineWords:       8,
-		HitLat:            2,
-		MissLat:           24,
-		MemWords:          1 << 20,
-		FreqMHz:           75,
-	}
-}
-
-// EnergyModel holds per-event energies in nanojoules plus static power.
+// The energy model: per-event energies in nanojoules plus static power.
 // The constants are calibrated so that realistic C snippets land in the
-// paper's 4.2-5.7 W band at the default 75 MHz.
-type EnergyModel struct {
-	StaticW     float64
-	FetchNJ     float64 // per instruction fetched/decoded
-	ALUNJ       float64
-	MulNJ       float64
-	DivNJ       float64 // per busy cycle
-	LoadNJ      float64
-	StoreNJ     float64
-	BranchNJ    float64
-	MissNJ      float64 // extra per cache miss
-	MispredNJ   float64 // pipeline refill energy
-	IdleCycleNJ float64 // clock-tree energy per cycle
-}
-
-// DefaultEnergy returns the calibrated energy model.
-func DefaultEnergy() EnergyModel {
-	return EnergyModel{
-		StaticW:     4.00,
-		FetchNJ:     1.5,
-		ALUNJ:       2.6,
-		MulNJ:       9.5,
-		DivNJ:       3.0,
-		LoadNJ:      6.5,
-		StoreNJ:     7.0,
-		BranchNJ:    2.7,
-		MissNJ:      18.0,
-		MispredNJ:   13.0,
-		IdleCycleNJ: 1.0,
-	}
-}
+// paper's 4.2-5.7 W band at 75 MHz.
+const (
+	staticW     = 4.00
+	fetchNJ     = 1.5 // per instruction fetched/decoded
+	aluNJ       = 2.6
+	mulNJ       = 9.5
+	divNJ       = 3.0 // per busy cycle
+	loadNJ      = 6.5
+	storeNJ     = 7.0
+	branchNJ    = 2.7
+	missNJ      = 18.0 // extra per cache miss
+	mispredNJ   = 13.0 // pipeline refill energy
+	idleCycleNJ = 1.0  // clock-tree energy per cycle
+)
 
 // RunOptions bound one program execution.
 type RunOptions struct {
 	// MaxInsts bounds retired instructions (default 1_000_000).
 	MaxInsts uint64
-	Config   Config
-	Energy   EnergyModel
-}
-
-func (o RunOptions) withDefaults() RunOptions {
-	if o.MaxInsts == 0 {
-		o.MaxInsts = 1_000_000
-	}
-	if o.Config.FetchWidth == 0 {
-		o.Config = DefaultConfig()
-	}
-	if o.Energy.StaticW == 0 {
-		o.Energy = DefaultEnergy()
-	}
-	return o
 }
 
 // numClasses sizes the arrays indexed by isa.FUClass.
 const numClasses = isa.FUBranch + 1
+
+// maxUnits is the most functional units of any class (the ALUs).
+const maxUnits = numALU
+
+// unitCount is the number of functional units of each class. Branches
+// share the ALU ports.
+var unitCount = [numClasses]int{
+	isa.FUALU:    numALU,
+	isa.FUBranch: numALU,
+	isa.FUMul:    numMul,
+	isa.FUDiv:    numDiv,
+	isa.FULoad:   numMem,
+	isa.FUStore:  numMem,
+}
 
 // Result reports functional and microarchitectural outcomes of one run.
 type Result struct {
@@ -175,12 +134,15 @@ var ErrTrap = errors.New("boom: execution trap")
 // Run executes the program to HALT (or the instruction bound) and returns
 // timing, activity and power results.
 func Run(p *isa.Program, opts RunOptions) *Result {
-	opts = opts.withDefaults()
-	m := newMachine(p, opts.Config)
+	maxInsts := opts.MaxInsts
+	if maxInsts == 0 {
+		maxInsts = 1_000_000
+	}
+	m := newMachine(p)
 	res := &Result{}
 
 	var rec instRec
-	for res.Insts < opts.MaxInsts {
+	for res.Insts < maxInsts {
 		halt, trap := m.exec(&rec)
 		if trap != nil {
 			res.Trap = trap
@@ -216,31 +178,30 @@ func Run(p *isa.Program, opts RunOptions) *Result {
 		res.Cycles = 1
 	}
 	res.IPC = float64(res.Insts) / float64(res.Cycles)
-	applyPower(res, opts)
+	applyPower(res)
 	return res
 }
 
 // applyPower folds activity counters into watts.
-func applyPower(res *Result, opts RunOptions) {
-	e := opts.Energy
-	nj := float64(res.Insts) * e.FetchNJ
-	nj += float64(res.ClassCounts[isa.FUALU]) * e.ALUNJ
-	nj += float64(res.ClassCounts[isa.FUMul]) * e.MulNJ
-	nj += float64(res.ClassCounts[isa.FUDiv]) * float64(opts.Config.DivLat) * e.DivNJ
-	nj += float64(res.ClassCounts[isa.FULoad]) * e.LoadNJ
-	nj += float64(res.ClassCounts[isa.FUStore]) * e.StoreNJ
-	nj += float64(res.ClassCounts[isa.FUBranch]) * e.BranchNJ
-	nj += float64(res.CacheMisses) * e.MissNJ
-	nj += float64(res.Mispredicts) * e.MispredNJ
-	nj += float64(res.Cycles) * e.IdleCycleNJ
+func applyPower(res *Result) {
+	nj := float64(res.Insts) * fetchNJ
+	nj += float64(res.ClassCounts[isa.FUALU]) * aluNJ
+	nj += float64(res.ClassCounts[isa.FUMul]) * mulNJ
+	nj += float64(res.ClassCounts[isa.FUDiv]) * divLat * divNJ
+	nj += float64(res.ClassCounts[isa.FULoad]) * loadNJ
+	nj += float64(res.ClassCounts[isa.FUStore]) * storeNJ
+	nj += float64(res.ClassCounts[isa.FUBranch]) * branchNJ
+	nj += float64(res.CacheMisses) * missNJ
+	nj += float64(res.Mispredicts) * mispredNJ
+	nj += float64(res.Cycles) * idleCycleNJ
 
-	seconds := float64(res.Cycles) / (opts.Config.FreqMHz * 1e6)
+	seconds := float64(res.Cycles) / (freqMHz * 1e6)
 	if seconds <= 0 {
 		seconds = 1e-9
 	}
 	res.RuntimeS = seconds
 	res.EnergyJ = nj * 1e-9
-	res.PowerW = e.StaticW + res.EnergyJ/seconds
+	res.PowerW = staticW + res.EnergyJ/seconds
 }
 
 // --- machine state --------------------------------------------------------
@@ -277,15 +238,14 @@ type page struct {
 
 type machine struct {
 	prog  *isa.Program
-	cfg   Config
 	regs  [32]int32
-	pages []*page
+	pages [memWords / pageWords]*page
 	pc    int
 
 	// timing state
 	regReady     [32]uint64
-	fuFree       [numClasses][]uint64
-	retireRing   []uint64 // retire cycles of the last ROBSize insts
+	fuFree       [numClasses][maxUnits]uint64
+	retireRing   [robSize]uint64 // retire cycles of the last robSize insts
 	ringPos      int
 	fetchCycle   uint64
 	fetchInGroup int
@@ -295,11 +255,11 @@ type machine struct {
 
 	// branch predictor (gshare)
 	ghr   uint32
-	bpred []uint8
+	bpred [1 << bpredBits]uint8
 
 	// L1D
-	tags [][]int32 // [set][way] tag, -1 invalid
-	lru  [][]uint64
+	tags [l1Sets][l1Ways]int32 // tag, -1 invalid
+	lru  [l1Sets][l1Ways]uint64
 	tick uint64
 
 	// store-to-load timing: the addresses of the words that hold a
@@ -307,64 +267,47 @@ type machine struct {
 	forwarded []int32
 }
 
-func newMachine(p *isa.Program, cfg Config) *machine {
-	m := &machine{
-		prog:       p,
-		cfg:        cfg,
-		pages:      make([]*page, (cfg.MemWords+pageWords-1)/pageWords),
-		pc:         p.Start,
-		retireRing: make([]uint64, cfg.ROBSize),
-		bpred:      make([]uint8, 1<<uint(cfg.BPredBits)),
-	}
-	m.regs[isa.RegSP] = int32(cfg.MemWords - 1)
+func newMachine(p *isa.Program) *machine {
+	m := &machine{prog: p, pc: p.Start}
+	m.regs[isa.RegSP] = memWords - 1
 	m.regs[isa.RegGP] = 0
-	m.fuFree[isa.FUALU] = make([]uint64, cfg.NumALU)
-	m.fuFree[isa.FUBranch] = make([]uint64, cfg.NumALU) // branches share ALU ports
-	m.fuFree[isa.FUMul] = make([]uint64, cfg.NumMul)
-	m.fuFree[isa.FUDiv] = make([]uint64, cfg.NumDiv)
-	m.fuFree[isa.FULoad] = make([]uint64, cfg.NumMem)
-	m.fuFree[isa.FUStore] = make([]uint64, cfg.NumMem)
-	m.tags = make([][]int32, cfg.L1Sets)
-	m.lru = make([][]uint64, cfg.L1Sets)
-	for i := range m.tags {
-		m.tags[i] = make([]int32, cfg.L1Ways)
-		m.lru[i] = make([]uint64, cfg.L1Ways)
-		for w := range m.tags[i] {
-			m.tags[i][w] = -1
+	for set := range m.tags {
+		for w := range m.tags[set] {
+			m.tags[set][w] = -1
 		}
 	}
 	return m
 }
 
-// cacheAccess updates the L1D state and reports whether it missed.
+// cacheAccess updates the L1D state and reports whether it missed. The
+// caller has range-checked addr, so it is non-negative.
 func (m *machine) cacheAccess(addr int32) bool {
 	m.tick++
-	line := int(addr) / m.cfg.L1LineWords
-	set := line % m.cfg.L1Sets
-	tag := int32(line / m.cfg.L1Sets)
-	ways := m.tags[set]
+	line := uint32(addr) / l1LineWords
+	set := line % l1Sets
+	tag := int32(line / l1Sets)
+	ways, lru := &m.tags[set], &m.lru[set]
 	for w, t := range ways {
 		if t == tag {
-			m.lru[set][w] = m.tick
+			lru[w] = m.tick
 			return false
 		}
 	}
 	// miss: replace LRU
 	victim := 0
-	for w := 1; w < len(ways); w++ {
-		if m.lru[set][w] < m.lru[set][victim] {
+	for w := 1; w < l1Ways; w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	m.tags[set][victim] = tag
-	m.lru[set][victim] = m.tick
+	ways[victim] = tag
+	lru[victim] = m.tick
 	return true
 }
 
 // predictBranch consults gshare and updates it with the outcome.
 func (m *machine) predictBranch(pc int, taken bool) bool {
-	mask := uint32(len(m.bpred) - 1)
-	idx := (uint32(pc) ^ m.ghr) & mask
+	idx := (uint32(pc) ^ m.ghr) & (1<<bpredBits - 1)
 	ctr := m.bpred[idx]
 	predicted := ctr >= 2
 	if taken {
@@ -469,7 +412,7 @@ func (m *machine) exec(rec *instRec) (bool, error) {
 		rd(int32(in.Imm) << 12)
 	case isa.OpLw:
 		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || int(addr) >= m.cfg.MemWords {
+		if addr < 0 || addr >= memWords {
 			return false, fmt.Errorf("%w: load address %d out of range at pc %d", ErrTrap, addr, m.pc)
 		}
 		rec.memAddr = addr
@@ -482,7 +425,7 @@ func (m *machine) exec(rec *instRec) (bool, error) {
 		rd(v)
 	case isa.OpSw:
 		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || int(addr) >= m.cfg.MemWords {
+		if addr < 0 || addr >= memWords {
 			return false, fmt.Errorf("%w: store address %d out of range at pc %d", ErrTrap, addr, m.pc)
 		}
 		rec.memAddr = addr
@@ -539,17 +482,15 @@ func boolReg(b bool) int32 {
 
 // timeInstruction advances the interval timing model by one instruction.
 func (m *machine) timeInstruction(rec *instRec) {
-	cfg := &m.cfg
-
-	// Fetch bandwidth: FetchWidth instructions per cycle.
+	// Fetch bandwidth: fetchWidth instructions per cycle.
 	m.fetchInGroup++
-	if m.fetchInGroup >= cfg.FetchWidth {
+	if m.fetchInGroup >= fetchWidth {
 		m.fetchInGroup = 0
 		m.fetchCycle++
 	}
 	dispatch := m.fetchCycle
 
-	// ROB window: cannot dispatch until the slot from ROBSize ago retired.
+	// ROB window: cannot dispatch until the slot from robSize ago retired.
 	if old := m.retireRing[m.ringPos]; old > dispatch {
 		dispatch = old
 		// Fetch stalls along with dispatch backpressure.
@@ -573,9 +514,9 @@ func (m *machine) timeInstruction(rec *instRec) {
 	}
 
 	// FU arbitration: earliest-free unit of the class.
-	units := m.fuFree[rec.class]
+	units := &m.fuFree[rec.class]
 	best := 0
-	for u := 1; u < len(units); u++ {
+	for u := 1; u < unitCount[rec.class]; u++ {
 		if units[u] < units[best] {
 			best = u
 		}
@@ -585,19 +526,19 @@ func (m *machine) timeInstruction(rec *instRec) {
 		issue = units[best]
 	}
 
-	lat := uint64(cfg.ALULat)
+	lat := uint64(aluLat)
 	occupancy := uint64(1) // pipelined units accept one op per cycle
 	switch rec.class {
 	case isa.FUMul:
-		lat = uint64(cfg.MulLat)
+		lat = mulLat
 	case isa.FUDiv:
-		lat = uint64(cfg.DivLat)
-		occupancy = uint64(cfg.DivLat) // unpipelined
+		lat = divLat
+		occupancy = divLat // unpipelined
 	case isa.FULoad, isa.FUStore:
 		if rec.cacheMiss {
-			lat = uint64(cfg.MissLat)
+			lat = missLat
 		} else {
-			lat = uint64(cfg.HitLat)
+			lat = hitLat
 		}
 	}
 	units[best] = issue + occupancy
@@ -612,21 +553,21 @@ func (m *machine) timeInstruction(rec *instRec) {
 
 	// Branch resolution: mispredicts refill the frontend.
 	if rec.mispredicted {
-		redirect := complete + uint64(cfg.MispredictPenalty)
+		redirect := complete + mispredictPenalty
 		if redirect > m.fetchCycle {
 			m.fetchCycle = redirect
 			m.fetchInGroup = 0
 		}
 	}
 
-	// In-order retire with CommitWidth per cycle.
+	// In-order retire with commitWidth per cycle.
 	retire := complete
 	if retire < m.retireAt {
 		retire = m.retireAt
 	}
 	if retire == m.retireAt {
 		m.retiredHere++
-		if m.retiredHere >= cfg.CommitWidth {
+		if m.retiredHere >= commitWidth {
 			retire++
 			m.retiredHere = 0
 		}
@@ -635,7 +576,10 @@ func (m *machine) timeInstruction(rec *instRec) {
 	}
 	m.retireAt = retire
 	m.retireRing[m.ringPos] = retire
-	m.ringPos = (m.ringPos + 1) % cfg.ROBSize
+	m.ringPos++
+	if m.ringPos == robSize {
+		m.ringPos = 0
+	}
 	if retire > m.lastRetire {
 		m.lastRetire = retire
 	}

@@ -41,11 +41,10 @@ int main() {
 		if res.Trap != nil {
 			return false
 		}
-		cfg := DefaultConfig()
-		if res.IPC > float64(cfg.CommitWidth)+1e-9 {
+		if res.IPC > commitWidth+1e-9 {
 			return false
 		}
-		if res.Cycles*uint64(cfg.CommitWidth) < res.Insts {
+		if res.Cycles*commitWidth < res.Insts {
 			return false
 		}
 		if res.Mispredicts > res.Branches {
@@ -54,7 +53,7 @@ int main() {
 		if res.CacheMisses > res.CacheAccess {
 			return false
 		}
-		return res.PowerW > DefaultEnergy().StaticW
+		return res.PowerW > staticW
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

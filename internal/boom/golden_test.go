@@ -2,9 +2,11 @@ package boom
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"llm4eda/internal/isa"
@@ -107,5 +109,57 @@ func TestResultGolden(t *testing.T) {
 				t.Errorf("%s, window %d: run diverged from the fixture\n want %s\n  got %s", prog.Name, w.MaxInsts, wj, gj)
 			}
 		}
+	}
+}
+
+// robProbeSource puts one cache miss per iteration behind 40
+// accumulator updates: the load strides 4099 words through arr's 64K,
+// landing on a new L1 line each time, and the updates rotate over eight
+// accumulators, so how far the core runs ahead of each miss is set by
+// the reorder-buffer window rather than by one dependence chain.
+func robProbeSource() string {
+	var b strings.Builder
+	b.WriteString("int arr[65536];\nint main() {\n    int a = 0;\n")
+	for j := 0; j < 8; j++ {
+		fmt.Fprintf(&b, "    int v%d = 0;\n", j)
+	}
+	b.WriteString("    for (int r = 0; r < 500; r++) {\n        a += arr[(r*4099) & 65535];\n")
+	for j := 0; j < 40; j++ {
+		fmt.Fprintf(&b, "        v%d = v%d + %d;\n", j%8, j%8, j+1)
+	}
+	b.WriteString("    }\n    return a + v0 + v1 + v2 + v3 + v4 + v5 + v6 + v7;\n}\n")
+	return b.String()
+}
+
+// TestROBWindowGolden pins the reorder-buffer size, which
+// boom_golden.json does not: with 95 or 97 entries, or a ring that wraps
+// at 95, every fixture program still reproduces. This program's cycle
+// count moves with it (27,911 when the ring wraps at 95; 27,661 with 97
+// entries). The expected Result was recorded before the core's
+// configuration became compile-time constants.
+func TestROBWindowGolden(t *testing.T) {
+	want := goldenRun{
+		MaxInsts:    400_000,
+		ReturnValue: 410000,
+		Halted:      true,
+		Insts:       89549,
+		Cycles:      27786,
+		Branches:    501,
+		Mispredicts: 1,
+		CacheAccess: 43522,
+		CacheMisses: 502,
+		ClassCounts: map[string]uint64{
+			"alu": 44523, "branch": 1004, "div": 0, "load": 22511, "mul": 500, "store": 21011,
+		},
+		IPCBits:      4614439541866155041,
+		PowerWBits:   4617975891929418790,
+		EnergyJBits:  4558560514751301069,
+		RuntimeSBits: 4555469773388628875,
+	}
+	res := compileAndRun(t, robProbeSource(), RunOptions{MaxInsts: want.MaxInsts})
+	gj, _ := json.Marshal(recordRun(want.MaxInsts, res))
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Errorf("run diverged from the recorded Result\n want %s\n  got %s", wj, gj)
 	}
 }

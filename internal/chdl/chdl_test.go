@@ -419,3 +419,43 @@ int pick(int i) { return lut[i]; }`
 		t.Errorf("pick(2) = %d", got)
 	}
 }
+
+// deepInputs returns programs nested n levels deep in each way that
+// deepens the parser's recursion or the tree it builds: parentheses,
+// blocks, chained ifs and a chain of binary operators.
+func deepInputs(n int) map[string]string {
+	return map[string]string{
+		"parens": "int main() { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }",
+		"blocks": "int main() { " + strings.Repeat("{", n) + strings.Repeat("}", n) + " return 0; }",
+		"ifs":    "int main() { int x = 0; " + strings.Repeat("if (x) ", n) + "x = 1; return x; }",
+		"chain":  "int main() { return 1" + strings.Repeat("+1", n) + "; }",
+	}
+}
+
+// TestDeepNestingRejected: input nested past maxDepth is a parse error
+// rather than a stack overflow. At 1.5M levels the parentheses and the
+// blocks (3 MB each, under a served spec's 4 MB cap) and the chained ifs
+// (10.5 MB) overflow the stack of an uncapped parser; 100k levels reach
+// the cap with less input to lex.
+func TestDeepNestingRejected(t *testing.T) {
+	for name, src := range deepInputs(100_000) {
+		_, err := ParseC(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nesting deeper") {
+			t.Errorf("%s: err = %v, want a nesting ParseError", name, err)
+		}
+	}
+}
+
+// TestNestingCapBoundary: maxDepth nested blocks parse; one more does not.
+func TestNestingCapBoundary(t *testing.T) {
+	blocks := func(n int) string {
+		return "int f() { " + strings.Repeat("{", n) + strings.Repeat("}", n) + " return 0; }"
+	}
+	if _, err := ParseC(blocks(maxDepth)); err != nil {
+		t.Errorf("%d nested blocks: %v", maxDepth, err)
+	}
+	if _, err := ParseC(blocks(maxDepth + 1)); err == nil {
+		t.Errorf("%d nested blocks parsed, want a nesting error", maxDepth+1)
+	}
+}

@@ -23,9 +23,19 @@ var typeKeywords = map[string]bool{
 	"uint16_t": true, "int16_t": true,
 }
 
+// maxDepth bounds how deep a program nests, and with it the recursion
+// of the parser and of every pass that walks the tree it builds. A level
+// is a statement inside a statement, an assignment, conditional, unary
+// or postfix operand inside an expression, or one more operator in a
+// chain of binary operators; a parenthesised expression costs three
+// (assignment, conditional and unary). Deeper input is a parse error
+// rather than a stack overflow.
+const maxDepth = 1000
+
 type cParser struct {
-	toks []tok
-	pos  int
+	toks  []tok
+	pos   int
+	depth int
 }
 
 // ParseC parses a C translation unit in the supported subset.
@@ -117,6 +127,18 @@ func (p *cParser) errf(format string, args ...any) error {
 	t := p.cur()
 	return &ParseError{t.line, t.col, fmt.Sprintf(format, args...)}
 }
+
+// enter opens one level of nesting, failing at maxDepth; the caller
+// closes it with p.leave.
+func (p *cParser) enter() error {
+	if p.depth == maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *cParser) leave() { p.depth-- }
 
 func (p *cParser) atTypeStart() bool {
 	t := p.cur()
@@ -358,6 +380,10 @@ func (p *cParser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *cParser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.kind == tPragma:
@@ -579,6 +605,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *cParser) parseAssignExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseCond()
 	if err != nil {
 		return nil, err
@@ -596,6 +626,10 @@ func (p *cParser) parseAssignExpr() (Expr, error) {
 }
 
 func (p *cParser) parseCond() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBin(0)
 	if err != nil {
 		return nil, err
@@ -640,6 +674,7 @@ func (p *cParser) parseBin(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	base := p.depth
 	for {
 		t := p.cur()
 		matched := ""
@@ -652,7 +687,12 @@ func (p *cParser) parseBin(level int) (Expr, error) {
 			}
 		}
 		if matched == "" {
+			p.depth = base
 			return lhs, nil
+		}
+		// The chain so far becomes the left operand, one level deeper.
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		p.next()
 		rhs, err := p.parseBin(level + 1)
@@ -664,6 +704,10 @@ func (p *cParser) parseBin(level int) (Expr, error) {
 }
 
 func (p *cParser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.kind == tPunct {
 		switch t.text {
@@ -734,26 +778,28 @@ func (p *cParser) parsePostfixC() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.cur()
-		switch {
-		case p.at("["):
-			p.next()
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			e = &IndexExpr{X: e, Idx: idx, Line: t.line}
-		case p.at("++"), p.at("--"):
-			p.next()
-			e = &PostfixExpr{Op: t.text, X: e, Line: t.line}
-		default:
-			return e, nil
+	base := p.depth
+	for p.at("[") || p.at("++") || p.at("--") {
+		// The expression so far becomes the operand, one level deeper.
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
+		t := p.next()
+		if t.text != "[" {
+			e = &PostfixExpr{Op: t.text, X: e, Line: t.line}
+			continue
+		}
+		idx, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expect("]"); err != nil {
+			return nil, err
+		}
+		e = &IndexExpr{X: e, Idx: idx, Line: t.line}
 	}
+	p.depth = base
+	return e, nil
 }
 
 func (p *cParser) parsePrimaryC() (Expr, error) {

@@ -156,8 +156,11 @@ type Result struct {
 	Evals      int
 }
 
-// score evaluates a genome on the processor model (the same scoring rule
-// as the LLM loop).
+// score evaluates a genome on the processor model. Its rule is stricter
+// than the LLM loop's slt.Score, which measures a program still running
+// when the window (opts.MaxInsts) closes: here a genome must halt inside
+// the window, or it scores zero like one that does not compile or traps.
+// The E6 and E8 results depend on this rule.
 func score(g genome, opts boom.RunOptions) float64 {
 	src := g.render()
 	prog, err := chdl.ParseC(src)

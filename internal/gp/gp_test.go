@@ -77,3 +77,30 @@ func TestCrossoverMutationBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreRequiresHalt pins score's rule: a small genome that halts
+// inside the window scores its watts, and the same genome under a window
+// that closes before it halts scores zero, although the processor model
+// measures it without a trap.
+func TestScoreRequiresHalt(t *testing.T) {
+	g := genome{outer: minOuter, accs: 1, arrLog: 4,
+		body: []gene{{kind: geneALU, dst: 0, src: 0, op: 0, k: 5}}}
+	if s := score(g, boom.RunOptions{MaxInsts: 400_000}); s <= 0 {
+		t.Errorf("halting genome scored %.3f, want > 0", s)
+	}
+	short := boom.RunOptions{MaxInsts: 1_000}
+	if s := score(g, short); s != 0 {
+		t.Errorf("genome cut off by the window scored %.3f, want 0", s)
+	}
+	prog, err := chdl.ParseC(g.render())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := isa.Compile(prog, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := boom.Run(compiled, short); !res.TimedOut || res.Trap != nil || res.PowerW <= 0 {
+		t.Errorf("short window: timed out %v, trap %v, %.3f W; want a measured, untrapped timeout", res.TimedOut, res.Trap, res.PowerW)
+	}
+}

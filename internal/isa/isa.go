@@ -190,7 +190,8 @@ const (
 
 // Program is a compiled unit: instructions, entry points per function, and
 // the number of words reserved for globals (placed at address 0; the
-// stack grows down from MemWords).
+// stack grows down from the last word of data memory, 2^20 - 1 in both
+// the boom model and Interpret).
 type Program struct {
 	Insts       []Inst
 	Entry       map[string]int
