@@ -23,22 +23,19 @@ type ReportWire struct {
 	ElapsedMS float64            `json:"elapsed_ms"`
 	Spec      Spec               `json:"spec"`
 	Cache     simfarm.FarmStats  `json:"cache"`
-	Detail    json.RawMessage    `json:"detail,omitempty"`
+	// Detail must stay the last field: (*Report).JSON encodes the other
+	// fields and appends the detail after them.
+	Detail json.RawMessage `json:"detail,omitempty"`
 }
 
 // JSON encodes the report in the shared wire format. A Detail value that
 // does not marshal (no built-in framework produces one, but registry
 // embedders may) degrades to a descriptive placeholder string instead of
-// failing the whole report.
+// failing the whole report. Detail is encoded once and appended after
+// the other fields: passed to json.Marshal as a RawMessage it would be
+// compacted again, which leaves json.Marshal's own output unchanged.
 func (r *Report) JSON() ([]byte, error) {
-	detail, err := json.Marshal(r.Detail)
-	if err != nil {
-		detail, _ = json.Marshal(fmt.Sprintf("unencodable detail (%T): %v", r.Detail, err))
-	}
-	if r.Detail == nil {
-		detail = nil
-	}
-	return json.Marshal(ReportWire{
+	head, err := json.Marshal(ReportWire{
 		Framework: r.Framework,
 		OK:        r.OK,
 		Summary:   r.Summary,
@@ -46,6 +43,18 @@ func (r *Report) JSON() ([]byte, error) {
 		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1e3,
 		Spec:      r.Spec,
 		Cache:     r.Cache,
-		Detail:    detail,
 	})
+	if err != nil || r.Detail == nil {
+		return head, err
+	}
+	detail, err := json.Marshal(r.Detail)
+	if err != nil {
+		detail, _ = json.Marshal(fmt.Sprintf("unencodable detail (%T): %v", r.Detail, err))
+	}
+	const key = `,"detail":`
+	out := make([]byte, 0, len(head)+len(key)+len(detail))
+	out = append(out, head[:len(head)-1]...) // drop the closing brace
+	out = append(out, key...)
+	out = append(out, detail...)
+	return append(out, '}'), nil
 }

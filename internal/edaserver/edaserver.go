@@ -551,17 +551,20 @@ func (s *Server) newJob(spec eda.Spec, key string, enqueue bool) (*job, error) {
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
 	s.submitted.Add(1)
-	if len(s.jobs) > s.opts.JobCap {
-		kept := s.order[:0]
-		for _, id := range s.order {
-			if len(s.jobs) > s.opts.JobCap && s.jobs[id].terminal() {
-				delete(s.jobs, id)
-				continue
-			}
-			kept = append(kept, id)
+	// Evict the oldest finished jobs from the front; live ones keep their
+	// place. The scan stops once the table fits, so it passes at most the
+	// live jobs (QueueDepth + Workers) besides those it evicts.
+	var live []string
+	scanned := 0
+	for ; len(s.jobs) > s.opts.JobCap && scanned < len(s.order); scanned++ {
+		if id := s.order[scanned]; s.jobs[id].terminal() {
+			delete(s.jobs, id)
+		} else {
+			live = append(live, id)
 		}
-		s.order = kept
 	}
+	s.order = s.order[scanned-len(live):]
+	copy(s.order, live)
 	if enqueue {
 		jb.enqueued = time.Now() // starts the queue-wait clock
 		s.queue = append(s.queue, jb)

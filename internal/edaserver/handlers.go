@@ -1,6 +1,7 @@
 package edaserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,8 +29,9 @@ type JobStatus struct {
 	Error   string `json:"error,omitempty"`
 	Created string `json:"created"` // RFC 3339 UTC
 	// EventsDropped counts events evicted from the job's replay ring —
-	// history an SSE subscriber arriving (or resuming) late can no
-	// longer replay. Slow-subscriber loss made visible instead of silent.
+	// history an SSE subscriber arriving (or resuming) late, or falling
+	// behind, can no longer read. Subscribers read from the ring, so this
+	// is all they can miss.
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
 	// QueueWaitMS is the enqueue→worker-pop wait. Zero until the job is
 	// popped (and forever for a job answered from the report cache at
@@ -43,6 +45,8 @@ type JobStatus struct {
 	// across candidate rounds.
 	Phases []PhaseStatus `json:"phases,omitempty"`
 
+	// Report must stay the last field: writeStatus encodes the other
+	// fields and writes the report bytes after them.
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
@@ -115,6 +119,44 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorReply{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeStatusJSON is writeJSON for a job status.
+func writeStatusJSON(w http.ResponseWriter, code int, st JobStatus) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	writeStatus(w, "", st, false, "\n")
+}
+
+// writeStatus writes prefix, st as one JSON object, and suffix. The other
+// fields go through encoding/json, escaping HTML only when escapeHTML is
+// set (as json.Marshal does, and writeJSON does not); the report bytes
+// follow verbatim in their own Write. They only ever come from
+// (*eda.Report).JSON in this process, so they are compact and escaped
+// already, and the compaction encoding/json applies to a RawMessage
+// would copy them unchanged.
+func writeStatus(w io.Writer, prefix string, st JobStatus, escapeHTML bool, suffix string) {
+	report := st.Report
+	st.Report = nil
+	var buf bytes.Buffer
+	buf.WriteString(prefix)
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(escapeHTML)
+	if err := enc.Encode(st); err != nil {
+		return // a status always encodes; write nothing rather than half a frame
+	}
+	buf.Truncate(buf.Len() - 1) // Encode's newline
+	if len(report) == 0 {
+		buf.WriteString(suffix)
+		w.Write(buf.Bytes())
+		return
+	}
+	buf.Truncate(buf.Len() - 1) // the closing brace
+	buf.WriteString(`,"report":`)
+	w.Write(buf.Bytes())
+	w.Write(report)
+	io.WriteString(w, "}")
+	io.WriteString(w, suffix)
+}
+
 // status snapshots the job's wire form. Lock order: jb.mu, then the
 // broadcaster's own lock inside droppedCount — never the reverse.
 func (jb *job) status() JobStatus {
@@ -170,11 +212,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		s.log.Debug("job answered from report cache", "job", jb.id, "key", key)
 		s.completeFromCache(jb, e)
-		writeJSON(w, http.StatusOK, jb.status())
+		writeStatusJSON(w, http.StatusOK, jb.status())
 		return
 	}
 	s.log.Debug("job queued", "job", jb.id, "framework", spec.Framework, "key", key)
-	writeJSON(w, http.StatusAccepted, jb.status())
+	writeStatusJSON(w, http.StatusAccepted, jb.status())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -183,7 +225,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, jb.status())
+	writeStatusJSON(w, http.StatusOK, jb.status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +257,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	default:
 		jb.mu.Unlock() // already terminal: cancellation is a no-op
 	}
-	writeJSON(w, http.StatusOK, jb.status())
+	writeStatusJSON(w, http.StatusOK, jb.status())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -269,15 +311,19 @@ func (s *Server) stats() StatsReply {
 // handleEvents streams the job's event history and live tail as
 // Server-Sent Events: one "id: <seq>" + "event: <kind>" + "data:
 // <event JSON>" frame per core event, closed by a terminal "event: end"
-// frame whose data is the job's final JobStatus (which now carries the
+// frame whose data is the job's final JobStatus (which carries the
 // dropped-event count). Clients arriving after completion get the full
-// replay and the end frame immediately.
+// replay and the end frame at once.
+//
+// On each wake-up the handler reads every event after the last one it
+// wrote from the job's replay ring, writes them and flushes once. A
+// finished job's stream needs no flush: net/http sends it on return.
 //
 // Resume: a client reconnecting after a broken stream sends the last
 // sequence number it saw — the standard Last-Event-ID header, or an
 // `after` query parameter for hand-driven curl — and the replay starts
-// just past it. History already evicted from the ring is announced in
-// a comment frame rather than silently skipped.
+// just past it. Events the ring evicted before the stream reached them
+// are announced in a comment frame rather than silently skipped.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb := s.lookup(r.PathValue("id"))
 	if jb == nil {
@@ -301,36 +347,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	replay, missed, ch, cancelSub := jb.events.subscribe(after, 256)
+	wake, cancelSub := jb.events.subscribe()
 	defer cancelSub()
-	if missed > 0 {
-		fmt.Fprintf(w, ": %d earlier events evicted from the replay buffer\n\n", missed)
-	}
-	for _, ne := range replay {
-		if !s.writeFrame(w, r, ne) {
-			return
-		}
-	}
-	fl.Flush()
-	if ch == nil {
-		writeSSEEnd(w, jb)
-		fl.Flush()
-		return
-	}
-	ctx := r.Context()
+	var batch []numbered
 	for {
-		select {
-		case ne, open := <-ch:
-			if !open {
-				writeSSEEnd(w, jb)
-				fl.Flush()
-				return
-			}
+		var missed uint64
+		var closed bool
+		batch, missed, closed = jb.events.read(after, batch[:0])
+		if missed > 0 {
+			fmt.Fprintf(w, ": %d earlier events evicted from the replay buffer\n\n", missed)
+		}
+		for _, ne := range batch {
 			if !s.writeFrame(w, r, ne) {
 				return
 			}
-			fl.Flush()
-		case <-ctx.Done():
+			after = ne.seq
+		}
+		if closed {
+			writeSSEEnd(w, jb.status())
+			return
+		}
+		fl.Flush()
+		select {
+		case <-wake:
+		case <-r.Context().Done():
 			return
 		}
 	}
@@ -357,10 +397,6 @@ func writeSSE(w io.Writer, ne numbered) {
 	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ne.seq, ne.ev.Kind, b)
 }
 
-func writeSSEEnd(w io.Writer, jb *job) {
-	b, err := json.Marshal(jb.status())
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: end\ndata: %s\n\n", b)
+func writeSSEEnd(w io.Writer, st JobStatus) {
+	writeStatus(w, "event: end\ndata: ", st, true, "\n\n")
 }

@@ -1,6 +1,7 @@
 package edaserver
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,36 +87,34 @@ type numbered struct {
 	ev  eda.Event
 }
 
-// broadcaster is one job's event channel: a bounded replay ring feeding
+// broadcaster is one job's event channel: a bounded replay ring read by
 // any number of SSE subscribers. It implements eda.Sink, so eda.Run
-// streams straight into it from worker and pipeline goroutines; Emit
-// never blocks (a slow subscriber drops events rather than stalling the
-// run). The ring grows geometrically up to capMax and is trimmed to the
-// events actually emitted when the stream closes, so a quiet job (a
-// cache hit emits two events) never pins a full-size buffer and finished
-// jobs retain only their real history.
+// streams straight into it from worker and pipeline goroutines. Emit
+// never blocks: it signals each subscriber's wake channel without
+// waiting. A subscriber is a cursor, the seq of the last event it wrote,
+// and reads everything after it from the ring, so a slow subscriber
+// misses only what the ring evicted. The ring grows geometrically up to
+// capMax and is trimmed to the events actually emitted when the stream
+// closes, so a quiet job (a cache hit emits two events) never pins a
+// full-size buffer and finished jobs retain only their real history.
 type broadcaster struct {
 	// lastEmit is the wall-clock of the most recent Emit (unix nanos) —
 	// the staleness clock the per-job watchdog polls without taking the
 	// broadcaster lock.
 	lastEmit atomic.Int64
 
-	mu      sync.Mutex
-	ring    []numbered
-	capMax  int
-	start   int    // index of the oldest retained event
-	n       int    // retained events
-	total   uint64 // events ever emitted; the newest event's seq
-	subs    map[int]chan numbered
-	nextSub int
-	closed  bool
+	mu     sync.Mutex
+	ring   []numbered
+	capMax int
+	start  int    // index of the oldest retained event
+	n      int    // retained events
+	total  uint64 // events ever emitted; the newest event's seq
+	subs   map[chan struct{}]struct{}
+	closed bool
 }
 
 func newBroadcaster(history int) *broadcaster {
-	return &broadcaster{
-		capMax: history,
-		subs:   make(map[int]chan numbered),
-	}
+	return &broadcaster{capMax: history}
 }
 
 // touch resets the staleness clock; Emit does it implicitly, the worker
@@ -130,8 +129,7 @@ func (b *broadcaster) idle() time.Duration {
 }
 
 // Emit records the event in the replay ring (growing it up to capMax,
-// then evicting the oldest) and forwards it to every live subscriber
-// without blocking.
+// then evicting the oldest) and wakes every subscriber without blocking.
 func (b *broadcaster) Emit(ev eda.Event) {
 	b.touch()
 	b.mu.Lock()
@@ -159,10 +157,17 @@ func (b *broadcaster) Emit(ev eda.Event) {
 		b.ring[b.start] = ne
 		b.start = (b.start + 1) % len(b.ring)
 	}
-	for _, ch := range b.subs {
+	b.wakeLocked()
+}
+
+// wakeLocked signals every subscriber. A wake-up already pending covers
+// this one too: the subscriber reads everything past its cursor. Callers
+// hold b.mu.
+func (b *broadcaster) wakeLocked() {
+	for ch := range b.subs {
 		select {
-		case ch <- ne:
-		default: // slow subscriber: drop rather than stall the run
+		case ch <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -179,57 +184,63 @@ func (b *broadcaster) copyOut(size int) []numbered {
 
 // droppedCount reports how many events the ring has evicted: every
 // emitted event is either retained or was evicted, so the count is
-// total minus retained. Slow-subscriber channel drops are a per-
-// subscriber affair and not counted here — the replay ring is the
-// ground truth a resuming subscriber reads from.
+// total minus retained. It is also every event a subscriber can miss:
+// subscribers read from the ring, so an event still retained always
+// reaches them.
 func (b *broadcaster) droppedCount() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.total - uint64(b.n)
 }
 
-// subscribe returns the retained history after sequence number `after`
-// (0 = from the beginning), how many of the requested events the ring
-// already evicted, and a live channel that closes when the job
-// finishes. The replay snapshot and the registration happen under one
-// lock, so no event falls between them. On an already-finished job the
-// channel is nil. cancel detaches the subscriber (idempotent).
-func (b *broadcaster) subscribe(after uint64, buf int) (replay []numbered, missed uint64, ch chan numbered, cancel func()) {
+// subscribe registers a wake channel that Emit and close signal. Its one
+// slot coalesces the emits that land while the subscriber is writing
+// into one read. Register before the first read, so an event emitted in
+// between is read, signalled or both. On a closed stream the channel is
+// nil: the first read reports the close. cancel detaches (idempotent).
+func (b *broadcaster) subscribe() (wake <-chan struct{}, cancel func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	oldest := b.total - uint64(b.n) + 1 // seq of the oldest retained event
-	from := after + 1
-	if from < oldest {
-		missed = oldest - from
-		from = oldest
-	}
-	if b.total >= from {
-		replay = make([]numbered, 0, b.total-from+1)
-		for i := int(from - oldest); i < b.n; i++ {
-			replay = append(replay, b.ring[(b.start+i)%len(b.ring)])
-		}
-	}
 	if b.closed {
-		return replay, missed, nil, func() {}
+		return nil, func() {}
 	}
-	id := b.nextSub
-	b.nextSub++
-	ch = make(chan numbered, buf)
-	b.subs[id] = ch
-	return replay, missed, ch, func() {
+	ch := make(chan struct{}, 1)
+	if b.subs == nil {
+		b.subs = make(map[chan struct{}]struct{})
+	}
+	b.subs[ch] = struct{}{}
+	return ch, func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(ch)
-		}
+		delete(b.subs, ch)
 	}
 }
 
-// close marks the stream complete, releases every subscriber and trims
-// the replay ring to the events actually emitted (the job table retains
-// finished jobs, so spare ring capacity would otherwise be pinned until
-// eviction). Safe to call more than once.
+// read appends to buf the retained events after sequence number `after`
+// (0 = from the beginning) and reports how many events of that range the
+// ring already evicted, and whether the stream is closed — in which case
+// the events returned run to the last one the job will ever emit.
+func (b *broadcaster) read(after uint64, buf []numbered) (events []numbered, missed uint64, closed bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	evicted := b.total - uint64(b.n) // seq of the newest evicted event, 0 for none
+	if after < evicted {
+		missed = evicted - after
+		after = evicted
+	}
+	if after < b.total {
+		buf = slices.Grow(buf, int(b.total-after))
+		for i := int(after - evicted); i < b.n; i++ {
+			buf = append(buf, b.ring[(b.start+i)%len(b.ring)])
+		}
+	}
+	return buf, missed, b.closed
+}
+
+// close marks the stream complete, wakes every subscriber for its final
+// read and trims the replay ring to the events actually emitted (the job
+// table retains finished jobs, so spare ring capacity would otherwise be
+// pinned until eviction). Safe to call more than once.
 func (b *broadcaster) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -237,10 +248,8 @@ func (b *broadcaster) close() {
 		return
 	}
 	b.closed = true
-	for id, ch := range b.subs {
-		delete(b.subs, id)
-		close(ch)
-	}
+	b.wakeLocked()
+	b.subs = nil
 	if b.n < len(b.ring) {
 		b.ring = b.copyOut(b.n)
 		b.start = 0

@@ -3,8 +3,10 @@ package edaserver_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +337,96 @@ func TestDroppedEventsSurfaced(t *testing.T) {
 	}
 	if endFrame.EventsDropped != final.EventsDropped {
 		t.Errorf("end frame events_dropped = %d, want %d", endFrame.EventsDropped, final.EventsDropped)
+	}
+}
+
+// parkedWriter is an SSE response writer whose first Write blocks until
+// release closes: a subscriber stalled on a slow connection.
+type parkedWriter struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (w *parkedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.parked)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowSubscriberGetsEveryEvent: a subscriber whose connection stalls
+// while the job emits 1,000 events still receives every one of them, in
+// order, once it drains. Nothing was evicted from the replay ring, so
+// nothing may be missing and events_dropped stays 0.
+func TestSlowSubscriberGetsEveryEvent(t *testing.T) {
+	const burst = 1000
+	reg := eda.NewRegistry()
+	gate := make(chan struct{})
+	if err := reg.Register(eda.Pipeline{
+		Name: "burst",
+		Run: func(ctx context.Context, spec eda.Spec) (*eda.Report, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			for i := range burst {
+				core.Emit(ctx, core.Event{Kind: core.EventNote, Framework: "burst", Detail: fmt.Sprintf("burst %d", i)})
+			}
+			return &eda.Report{OK: true, Summary: "burst done"}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, edaserver.Options{Workers: 1, Registry: reg})
+	job, err := h.c.Submit(context.Background(), eda.Spec{Framework: "burst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &parkedWriter{ResponseRecorder: httptest.NewRecorder(),
+		parked: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil))
+	}()
+	<-w.parked
+	close(gate)
+	waitState(t, h.c, job.ID, "done")
+	close(w.release)
+	<-served
+
+	body := w.Body.String()
+	var got []string
+	for _, frame := range strings.Split(body, "\n\n") {
+		_, data, ok := strings.Cut(frame, "event: note\ndata: ")
+		var ev eda.Event
+		if !ok {
+			continue
+		}
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("note frame %q: %v", frame, err)
+		}
+		if strings.HasPrefix(ev.Detail, "burst ") {
+			got = append(got, ev.Detail)
+		}
+	}
+	if len(got) != burst {
+		t.Fatalf("slow subscriber got %d of %d burst events", len(got), burst)
+	}
+	for i, d := range got {
+		if want := fmt.Sprintf("burst %d", i); d != want {
+			t.Fatalf("burst event %d is %q, want %q", i, d, want)
+		}
+	}
+	if strings.Contains(body, "evicted") || strings.Contains(body, "events_dropped") {
+		t.Errorf("stream reports evicted events: %s", body[strings.LastIndex(body, "event: end"):])
+	}
+	if !strings.Contains(body, "event: end\ndata: {") {
+		t.Error("stream has no end frame")
 	}
 }
 

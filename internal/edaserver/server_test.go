@@ -683,6 +683,64 @@ func TestUnknownJob(t *testing.T) {
 	assert404(err, "Events")
 }
 
+// TestJobCapEvictsOldestFinished: past JobCap the oldest finished jobs
+// leave the table and answer 404, the newest stay, and a job still
+// running is never evicted however old it is.
+func TestJobCapEvictsOldestFinished(t *testing.T) {
+	reg, release := blockingRegistry(t)
+	if err := reg.Register(eda.Pipeline{
+		Name: "quick",
+		Run: func(context.Context, eda.Spec) (*eda.Report, error) {
+			return &eda.Report{OK: true, Summary: "quick"}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, edaserver.Options{Workers: 2, JobCap: 4, Registry: reg})
+	ctx := context.Background()
+	parked, err := h.c.Submit(ctx, eda.Spec{Framework: "block"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, h.c, parked.ID, "running")
+	var quick []string
+	submitQuick := func(n int) {
+		for range n {
+			job, err := h.c.Submit(ctx, eda.Spec{Framework: "quick", Run: eda.RunSpec{Seed: uint64(len(quick) + 1)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, h.c, job.ID, "done")
+			quick = append(quick, job.ID)
+		}
+	}
+	retained := func(want ...string) {
+		t.Helper()
+		keep := map[string]bool{}
+		for _, id := range want {
+			keep[id] = true
+		}
+		for _, id := range append([]string{parked.ID}, quick...) {
+			_, err := h.c.Get(ctx, id)
+			var ae *client.APIError
+			switch {
+			case keep[id] && err != nil:
+				t.Errorf("job %s: %v, want it retained", id, err)
+			case !keep[id] && (!errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound):
+				t.Errorf("job %s: err = %v, want 404", id, err)
+			}
+		}
+	}
+	// The parked job is the oldest, so only three finished jobs fit.
+	submitQuick(6)
+	retained(parked.ID, quick[3], quick[4], quick[5])
+	// Finished, the parked job is the oldest to go.
+	close(release)
+	waitState(t, h.c, parked.ID, "done")
+	submitQuick(2)
+	retained(quick[4:]...)
+}
+
 // TestFailedRunSurfacesError: a pipeline failure lands the job in
 // "failed" with the error preserved, and failed runs are never cached —
 // resubmission runs again.
