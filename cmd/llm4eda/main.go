@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -199,7 +200,16 @@ func runFramework(name string, args []string) error {
 		if *jsonOut {
 			progress = os.Stderr
 		}
-		opts = append(opts, eda.WithSink(eda.ProgressPrinter(progress, *verbose)))
+		// The farm's traffic follows the run's done: line, so a spec that
+		// fails validation prints neither.
+		printer := eda.ProgressPrinter(progress, *verbose)
+		before := simfarm.Default().Stats()
+		opts = append(opts, eda.WithSink(eda.SinkFunc(func(ev eda.Event) {
+			printer.Emit(ev)
+			if ev.Kind == eda.EventRunEnd {
+				printCacheStats(progress, simfarm.Default().Stats().Delta(before))
+			}
+		})))
 	}
 	report, err := eda.Run(context.Background(), spec, opts...)
 	if report != nil {
@@ -266,7 +276,8 @@ func cmdExp(args []string) error {
 		}
 		fmt.Println(exp.Render())
 		if *verbose {
-			printCacheStats(simfarm.Default().Stats().Delta(before))
+			printCacheStats(os.Stdout, simfarm.Default().Stats().Delta(before))
+			fmt.Println()
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -275,13 +286,21 @@ func cmdExp(args []string) error {
 	return nil
 }
 
-// printCacheStats renders one experiment's simfarm traffic via the
-// shared event vocabulary (the same counters eda.Run streams as
-// EventCache events).
-func printCacheStats(stats simfarm.FarmStats) {
-	sink := eda.ProgressPrinter(os.Stdout, true)
-	simfarm.EmitStats(sink, stats)
-	fmt.Println()
+// printCacheStats prints the farm's traffic between two snapshots, one
+// line per cache layer. A CLI process runs nothing else on the farm, so
+// the difference counts only the command's own cache lookups.
+func printCacheStats(w io.Writer, st simfarm.FarmStats) {
+	for _, l := range []struct {
+		name string
+		s    simfarm.Stats
+	}{{"parse", st.Parses}, {"design", st.Designs}, {"result", st.Results}, {"lint", st.Lints}} {
+		fmt.Fprintf(w, "[simfarm] cache %-6s hits=%d misses=%d evictions=%d entries=%d",
+			l.name, l.s.Hits, l.s.Misses, l.s.Evictions, l.s.Len)
+		if l.name == "lint" {
+			fmt.Fprintf(w, " rejects=%d", st.LintRejects)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 func cmdList() error {

@@ -21,10 +21,10 @@
 //     an `... .probe != nil` guard, keeping the zero-overhead-when-off
 //     contract (and nil safety) visible at each call site.
 //   - obs-guard: telemetry recording calls (methods named Record or
-//     Observe) in kernel files must sit under a dominating `!= nil`
-//     guard. The obs types are nil-receiver-safe, but on the per-event
-//     kernel path even the call overhead must be guarded away when
-//     telemetry is off.
+//     Since, the recording methods of obs.Histogram and obs.Spans) in
+//     kernel files must sit under a dominating `!= nil` guard. The obs
+//     types are nil-receiver-safe, but on the per-event kernel path even
+//     the call overhead must be guarded away when telemetry is off.
 //
 // Rules (every linted directory):
 //
@@ -200,7 +200,7 @@ func lintFile(fset *token.FileSet, f *ast.File, base string) []finding {
 				if !nilGuarded(node) {
 					report(node, "fault hook Fire called without a dominating `!= nil` guard in %s: injection must be zero-overhead when off", base)
 				}
-			case "Record", "Observe":
+			case "Record", "Since":
 				if kernel && !nilGuarded(node) {
 					report(node, "obs recording call %s without a dominating `!= nil` guard in kernel file %s: telemetry must be zero-overhead when off", sel.Sel.Name, base)
 				}

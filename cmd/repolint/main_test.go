@@ -122,7 +122,7 @@ func TestFaultGuardRule(t *testing.T) {
 }
 
 // TestObsGuardRule pins the kernel telemetry contract: obs recording
-// calls (Record/Observe) in kernel files must sit under a dominating
+// calls (Record/Since) in kernel files must sit under a dominating
 // `!= nil` guard — the nil-safe receiver is not enough on the per-event
 // path. Outside kernel files the rule is silent: service-layer spans
 // are always allocated and guards there would be noise.
@@ -135,8 +135,8 @@ func TestObsGuardRule(t *testing.T) {
 			"package v\nfunc step() {\n\tif sp != nil {\n\t\tsp.Record(phase, d)\n\t}\n}\n", 0},
 		{"bare record in kernel file is flagged", "eval.go",
 			"package v\nfunc eval() {\n\tsp.Record(phase, d)\n}\n", 1},
-		{"bare observe in kernel file is flagged", "sim.go",
-			"package v\nfunc tick() {\n\th.Observe(v)\n}\n", 1},
+		{"bare since in kernel file is flagged", "sim.go",
+			"package v\nfunc tick() {\n\tsp.Since(phase, start)\n}\n", 1},
 		{"bare record outside kernel files is clean", "handlers.go",
 			"package p\nfunc finish() {\n\tjb.spans.Record(phase, d)\n}\n", 0},
 	}

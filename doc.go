@@ -29,10 +29,10 @@
 //		Params:    map[string]float64{"k": 2, "depth": 2},
 //	}, eda.WithSink(eda.ProgressPrinter(os.Stdout, false)))
 //
-// Progress (phases, scored candidates, LLM calls, simulation-cache
-// traffic) streams to the sink as events; cancelling ctx aborts the run
-// within one simulation job. See the runnable ExampleRun in the eda
-// package and examples/quickstart for the canonical demo.
+// Progress (phases, scored candidates, LLM calls) streams to the sink
+// as events; cancelling ctx aborts the run within one simulation job.
+// See the runnable ExampleRun in the eda package and examples/quickstart
+// for the canonical demo.
 //
 // The same front door runs as a long-lived service: `llm4eda serve`
 // exposes queued jobs over HTTP with streaming progress and a
@@ -63,15 +63,14 @@
 // fault injection".
 //
 // The stack is observable end to end: internal/obs provides the
-// allocation-free telemetry core (atomic counters, log-bucketed latency
-// histograms, per-job phase spans carried on the context), every job
-// reports its queue_wait → lint_screen → compile → sim → store_write
-// breakdown in its status and SSE end frame, and GET /v1/metrics exports
-// the whole stack — job and phase latency quantiles, queue depth, farm
-// cache layers, tiered-VM dispatch counters, resilience counters — in
-// Prometheus text format. `llm4eda loadgen` / `make load-test` drive a
-// live server with shaped traffic and record the latency history as
-// committed LOAD_<date>.json files. See DESIGN.md "Observability".
+// allocation-free telemetry core (log-bucketed latency histograms,
+// per-job phase spans carried on the context), every job reports its
+// queue_wait → lint_screen → compile → sim → store_write breakdown in
+// its status and SSE end frame, and GET /v1/metrics exports the whole
+// stack — job and phase latency quantiles, queue depth, farm cache
+// layers, resilience counters — in Prometheus text format. `llm4eda
+// loadgen` / `make load-test` drive a live server with shaped traffic
+// and record the latency history as committed LOAD_<date>.json files. See DESIGN.md "Observability".
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmark harness in

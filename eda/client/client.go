@@ -28,7 +28,6 @@ import (
 
 	"llm4eda/eda"
 	"llm4eda/internal/edaserver"
-	"llm4eda/internal/simfarm"
 )
 
 // Job mirrors the server's job status wire form.
@@ -99,10 +98,6 @@ func (j *Job) DecodeReport() (*Report, error) {
 	}
 	return &r, nil
 }
-
-// FarmStats is the simulation farm's per-layer traffic as the server
-// reports it (the same type the eda.ReportWire carries as Cache).
-type FarmStats = simfarm.FarmStats
 
 // Stats is the server's /v1/stats reply — the exact type the server
 // encodes, so server and client can never drift.

@@ -8,11 +8,11 @@
 //	report, err := eda.Run(ctx, spec, eda.WithSink(sink))
 //
 // Run resolves the framework in the Registry, derives a deadline from the
-// spec, streams progress events (phases, scored candidates, LLM calls,
-// simfarm cache traffic) to the sink, and returns a uniform Report with
-// the framework-native result attached as Detail. Cancellation propagates
-// end to end: the long framework loops check ctx between rounds and the
-// simfarm worker pool aborts a batch within one simulation.
+// spec, streams progress events (phases, scored candidates, LLM calls)
+// to the sink, and returns a uniform Report with the framework-native
+// result attached as Detail. Cancellation propagates end to end: the
+// long framework loops check ctx between rounds and the simfarm worker
+// pool aborts a batch within one simulation.
 //
 // The package is the substrate any serve/queue/sharding layer builds on:
 // a Spec is serializable work, a Report is a serializable outcome, and
@@ -28,7 +28,6 @@ import (
 
 	"llm4eda/internal/core"
 	"llm4eda/internal/obs"
-	"llm4eda/internal/simfarm"
 )
 
 // RunSpec is the shared execution envelope (seed, tier, workers,
@@ -50,8 +49,9 @@ type Spec struct {
 	// frameworks (autochip, vrank, crosscheck, agent). Empty selects the
 	// framework's default sweep.
 	Problem string `json:"problem,omitempty"`
-	// Source is the C payload for the HLS frameworks (repair, hlstest).
-	// Empty selects the framework's default benchmark sweep.
+	// Source is the C payload for the HLS frameworks (repair, hlstest),
+	// at most 256 KiB. Empty selects the framework's default benchmark
+	// sweep.
 	Source string `json:"source,omitempty"`
 	// Kernel names the function to synthesize when Source is set.
 	Kernel string `json:"kernel,omitempty"`
@@ -131,13 +131,6 @@ type Report struct {
 	Detail any
 	// Elapsed is the wall clock of the pipeline run.
 	Elapsed time.Duration
-	// Cache is the simfarm traffic observed during this run: the delta of
-	// the process-shared farm's counters across the run. The shared farm
-	// is what makes cross-run compile reuse work, so when several
-	// eda.Run calls execute concurrently each delta includes the
-	// neighbors' traffic — treat the counters as process-level
-	// observability during the run, not per-run attribution.
-	Cache simfarm.FarmStats
 }
 
 // Metric records one headline number, allocating the map on first use.
@@ -179,7 +172,7 @@ type runOptions struct {
 }
 
 // WithSink streams the run's events to sink (phases, candidates, LLM
-// calls, cache traffic). The sink must tolerate concurrent Emit calls.
+// calls). The sink must tolerate concurrent Emit calls.
 func WithSink(sink Sink) Option {
 	return func(o *runOptions) { o.sink = sink }
 }
@@ -202,11 +195,10 @@ func WithRegistry(reg *Registry) Option {
 
 // Run executes one spec through its registered pipeline: validate, fill
 // defaults, derive the deadline, attach the event sink to the context,
-// run, and wrap the outcome in a Report that carries the simfarm cache
-// traffic of the run. The returned error is either a validation error, a
-// pipeline failure, or the context's cancellation error; on cancellation
-// the partial Report (when the pipeline produced one) is returned
-// alongside it.
+// run, and wrap the outcome in a Report. The returned error is either a
+// validation error, a pipeline failure, or the context's cancellation
+// error; on cancellation the partial Report (when the pipeline produced
+// one) is returned alongside it.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,7 +235,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	sink.Emit(Event{Kind: EventRunStart, Framework: spec.Framework,
 		Detail: fmt.Sprintf("tier=%s seed=%d", spec.Run.Tier, spec.Run.Seed)})
 
-	before := simfarm.Default().Stats()
 	start := time.Now()
 	report, err := pipeline.Run(ctx, spec)
 	elapsed := time.Since(start)
@@ -253,14 +244,11 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if sp := obs.SpansOf(ctx); sp != nil {
 		sp.Record(obs.PhasePipeline, elapsed)
 	}
-	cache := simfarm.Default().Stats().Delta(before)
-	simfarm.EmitStats(sink, cache)
 
 	if report != nil {
 		report.Framework = spec.Framework
 		report.Spec = spec
 		report.Elapsed = elapsed
-		report.Cache = cache
 		sink.Emit(Event{Kind: EventRunEnd, Framework: spec.Framework,
 			OK: report.OK && err == nil, Detail: report.Summary})
 	} else {

@@ -28,7 +28,6 @@ const (
 	EventPhaseEnd   = core.EventPhaseEnd
 	EventCandidate  = core.EventCandidate
 	EventLLMCall    = core.EventLLMCall
-	EventCache      = core.EventCache
 	EventNote       = core.EventNote
 )
 
@@ -37,15 +36,14 @@ type progressPrinter struct {
 	mu sync.Mutex
 	w  io.Writer
 	// verbose prints every candidate and LLM call; terse mode keeps
-	// run/phase boundaries and cache traffic only.
+	// run/phase boundaries and notes only.
 	verbose bool
 }
 
 // ProgressPrinter returns a Sink that renders events to w as one-line
 // progress updates — the canonical event consumer the examples and the
-// CLI share. With verbose=false only run/phase boundaries, notes and
-// cache counters print; verbose=true adds every scored candidate and
-// model call.
+// CLI share. With verbose=false only run/phase boundaries and notes
+// print; verbose=true adds every scored candidate and model call.
 func ProgressPrinter(w io.Writer, verbose bool) Sink {
 	return &progressPrinter{w: w, verbose: verbose}
 }
@@ -80,9 +78,6 @@ func (p *progressPrinter) Emit(ev Event) {
 			fmt.Fprintf(p.w, "[%s] llm call %s (%s) tokens=%d/%d\n",
 				ev.Framework, seqOf(ev), ev.Phase, ev.TokensIn, ev.TokensOut)
 		}
-	case EventCache:
-		fmt.Fprintf(p.w, "[%s] cache %-6s hits=%d misses=%d evictions=%d %s\n",
-			ev.Framework, ev.Phase, ev.Hits, ev.Misses, ev.Evictions, ev.Detail)
 	case EventNote:
 		fmt.Fprintf(p.w, "[%s] %s\n", ev.Framework, ev.Detail)
 	}

@@ -3,8 +3,6 @@ package eda
 import (
 	"encoding/json"
 	"fmt"
-
-	"llm4eda/internal/simfarm"
 )
 
 // ReportWire is the stable machine-readable form of a Report. The CLI's
@@ -22,7 +20,6 @@ type ReportWire struct {
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
 	ElapsedMS float64            `json:"elapsed_ms"`
 	Spec      Spec               `json:"spec"`
-	Cache     simfarm.FarmStats  `json:"cache"`
 	// Detail must stay the last field: (*Report).JSON encodes the other
 	// fields and appends the detail after them.
 	Detail json.RawMessage `json:"detail,omitempty"`
@@ -42,7 +39,6 @@ func (r *Report) JSON() ([]byte, error) {
 		Metrics:   r.Metrics,
 		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1e3,
 		Spec:      r.Spec,
-		Cache:     r.Cache,
 	})
 	if err != nil || r.Detail == nil {
 		return head, err

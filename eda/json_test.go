@@ -30,7 +30,6 @@ func reportJSONTwoPass(r *eda.Report) ([]byte, error) {
 		Metrics:   r.Metrics,
 		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1e3,
 		Spec:      r.Spec,
-		Cache:     r.Cache,
 		Detail:    detail,
 	})
 }

@@ -171,10 +171,20 @@ func builtinPipelines() []Pipeline {
 	}
 }
 
+// maxSourceBytes caps Spec.Source. The C front end lexes the whole text
+// before it parses any of it, so an oversized source costs time and
+// memory before any other limit applies; every C kernel in the repo is
+// under 1 KiB.
+const maxSourceBytes = 256 << 10
+
 // checkKernelPayload is the payload check for the HLS pipelines: Source
-// and Kernel set together (or neither, for the default sweep), and no
-// benchmark Problem.
+// and Kernel set together (or neither, for the default sweep), Source at
+// most maxSourceBytes long, and no benchmark Problem.
 func checkKernelPayload(spec Spec) error {
+	if len(spec.Source) > maxSourceBytes {
+		return fmt.Errorf("eda: %s: Spec.Source is %d bytes, over the %d-byte limit",
+			spec.Framework, len(spec.Source), maxSourceBytes)
+	}
 	if spec.Source != "" && spec.Kernel == "" {
 		return fmt.Errorf("eda: %s: Spec.Kernel must name the function when Source is set", spec.Framework)
 	}

@@ -1,8 +1,8 @@
 // Quickstart: the canonical demo of the unified eda front door. One
 // Spec — framework name, problem, execution envelope — drives a design
 // through the full LLM-powered EDA flow (Fig. 1/6 of the paper) while
-// the run's event stream (flow phases, scored candidates, simfarm cache
-// traffic) prints live. The same Spec shape reaches every framework in
+// the run's event stream (flow phases, scored candidates, LLM calls)
+// prints live. The same Spec shape reaches every framework in
 // the suite: swap Framework for "autochip", "slt", "repair", ... and
 // eda.Run does the rest.
 //
@@ -43,7 +43,7 @@ func run() error {
 	}
 
 	// The event stream is the progress channel of the new API: phases,
-	// candidates and cache traffic arrive as the run executes.
+	// candidates and LLM calls arrive as the run executes.
 	sink := eda.ProgressPrinter(os.Stdout, false)
 	report, err := eda.Run(context.Background(), spec, eda.WithSink(sink))
 	if err != nil {

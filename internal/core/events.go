@@ -23,8 +23,6 @@ const (
 	EventCandidate
 	// EventLLMCall reports one model invocation with its token counts.
 	EventLLMCall
-	// EventCache reports one cache layer's traffic counters.
-	EventCache
 	// EventNote carries free-form progress text.
 	EventNote
 )
@@ -44,8 +42,6 @@ func (k EventKind) String() string {
 		return "candidate"
 	case EventLLMCall:
 		return "llm-call"
-	case EventCache:
-		return "cache"
 	case EventNote:
 		return "note"
 	default:
@@ -93,8 +89,8 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 type Event struct {
 	Kind      EventKind `json:"kind"`
 	Framework string    `json:"framework,omitempty"`
-	// Phase names the framework phase (EventPhase*), the cache layer
-	// (EventCache) or the model task (EventLLMCall).
+	// Phase names the framework phase (EventPhase*) or the model task
+	// (EventLLMCall).
 	Phase string `json:"phase,omitempty"`
 	// Seq/Total position the event within its loop (candidate i of n,
 	// round r of d); Total may be 0 when open-ended.
@@ -109,10 +105,6 @@ type Event struct {
 	// TokensIn/TokensOut report model usage (EventLLMCall).
 	TokensIn  int `json:"tokens_in,omitempty"`
 	TokensOut int `json:"tokens_out,omitempty"`
-	// Hits/Misses/Evictions are cache counters (EventCache).
-	Hits      uint64 `json:"hits,omitempty"`
-	Misses    uint64 `json:"misses,omitempty"`
-	Evictions uint64 `json:"evictions,omitempty"`
 }
 
 // Sink receives run events. Implementations must be safe for concurrent

@@ -33,7 +33,7 @@ func TestSinkOfWithoutSinkIsNoop(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EventRunStart, EventRunEnd, EventPhaseStart, EventPhaseEnd,
-		EventCandidate, EventLLMCall, EventCache, EventNote}
+		EventCandidate, EventLLMCall, EventNote}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
@@ -84,8 +84,7 @@ func TestRunSpecValidate(t *testing.T) {
 func TestEventJSONRoundTrip(t *testing.T) {
 	for k := EventRunStart; k <= EventNote; k++ {
 		ev := Event{Kind: k, Framework: "fw", Phase: "p", Seq: 2, Total: 5,
-			Score: 0.5, OK: true, Detail: "d", TokensIn: 3, TokensOut: 4,
-			Hits: 6, Misses: 7, Evictions: 8}
+			Score: 0.5, OK: true, Detail: "d", TokensIn: 3, TokensOut: 4}
 		b, err := json.Marshal(ev)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

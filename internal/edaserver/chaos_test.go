@@ -64,9 +64,8 @@ func TestChaosSurvival(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	in := faultinject.New(chaosPlan())
-	// eda.Run executes on the process-default farm regardless of
-	// Options.Farm, so the farm-layer hook arms there — and MUST be
-	// cleared before the test returns.
+	// eda.Run executes on the process-default farm, so the farm-layer
+	// hook arms there — and MUST be cleared before the test returns.
 	simfarm.Default().SetFaults(in)
 	defer simfarm.Default().SetFaults(nil)
 	farmBase := simfarm.Default().Stats()

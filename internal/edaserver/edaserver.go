@@ -46,7 +46,6 @@ import (
 	"llm4eda/internal/core"
 	"llm4eda/internal/faultinject"
 	"llm4eda/internal/obs"
-	"llm4eda/internal/simfarm"
 )
 
 // Options configure one Server. Zero values select defaults sized for a
@@ -68,9 +67,6 @@ type Options struct {
 	EventHistory int
 	// Registry resolves frameworks (default eda.DefaultRegistry()).
 	Registry *eda.Registry
-	// Farm is the shared simulation-cache farm surfaced by /v1/stats
-	// (default simfarm.Default(), the same farm eda.Run executes on).
-	Farm *simfarm.Farm
 	// Watchdog, when positive, arms a per-job staleness watchdog: a
 	// running job that emits no event for longer than this window is
 	// declared wedged and cancelled, finishing failed with a *WedgeError
@@ -82,12 +78,6 @@ type Options struct {
 	// job's context for the layers below. Nil in production: every hook
 	// is a nil check and nothing else.
 	Faults *faultinject.Injector
-	// Metrics is the telemetry registry behind GET /v1/metrics — the
-	// job-latency and per-phase histograms record into it, and the
-	// scrape handler harvests everything else (server counters, farm
-	// and VM stats, fault counters) live. Default: a fresh registry per
-	// server; pass one to aggregate several servers into one scrape.
-	Metrics *obs.Registry
 	// Log receives structured job-lifecycle logs, every record carrying
 	// the job id for correlation. Default: discard.
 	Log *slog.Logger
@@ -111,12 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Registry == nil {
 		o.Registry = eda.DefaultRegistry()
-	}
-	if o.Farm == nil {
-		o.Farm = simfarm.Default()
-	}
-	if o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
 	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.DiscardHandler)
@@ -185,7 +169,7 @@ func New(opts Options) *Server {
 		jobs:    make(map[string]*job),
 		running: make(map[string]bool),
 		store:   newReportStore(opts.ReportCap),
-		metrics: newServerMetrics(opts.Metrics),
+		metrics: newServerMetrics(),
 		log:     opts.Log,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -434,7 +418,7 @@ func (s *Server) jobFinished(jb *job, state string, cached bool) {
 	s.metrics.jobDur.Record(elapsed)
 	for _, sp := range jb.spans.Snapshot() {
 		if sp.N > 0 {
-			s.metrics.phase(sp.Phase).Record(sp.Dur)
+			s.metrics.phases[sp.Phase].Record(sp.Dur)
 		}
 	}
 	s.log.Info("job finished", "job", jb.id, "state", state, "cached", cached,

@@ -297,7 +297,7 @@ func (s *Server) stats() StatsReply {
 			Misses: s.store.miss.Load(),
 			Len:    s.store.len(),
 		},
-		Farm: s.opts.Farm.Stats(),
+		Farm: simfarm.Default().Stats(),
 	}
 	for _, jb := range jobs {
 		jb.mu.Lock()

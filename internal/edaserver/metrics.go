@@ -22,14 +22,13 @@ type serverMetrics struct {
 	jobDur *obs.Histogram
 	// phases maps the canonical phases (plus pipeline) to their
 	// aggregate histograms, pre-resolved so the per-job terminal fold is
-	// a map read, not a registry lookup.
+	// a map read, not a registry lookup. Only these phases are recorded;
+	// any other name reads a nil histogram, which ignores the record.
 	phases map[string]*obs.Histogram
 }
 
-const phaseFamily = "llm4eda_job_phase_seconds"
-const phaseHelp = "Per-phase latency breakdown of finished jobs (phases that ran; a cached hit records no sim)."
-
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
+func newServerMetrics() *serverMetrics {
+	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
 		jobDur: reg.Histogram("llm4eda_job_duration_seconds",
@@ -37,18 +36,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		phases: make(map[string]*obs.Histogram),
 	}
 	for _, p := range append(obs.JobPhases(), obs.PhasePipeline) {
-		m.phases[p] = reg.Histogram(phaseFamily, phaseHelp, "phase", p)
+		m.phases[p] = reg.Histogram("llm4eda_job_phase_seconds",
+			"Per-phase latency breakdown of finished jobs (phases that ran; a cached hit records no sim).",
+			"phase", p)
 	}
 	return m
-}
-
-// phase returns the aggregate histogram of one phase, falling back to a
-// registry lookup for non-canonical phases a pipeline may record.
-func (m *serverMetrics) phase(name string) *obs.Histogram {
-	if h, ok := m.phases[name]; ok {
-		return h
-	}
-	return m.reg.Histogram(phaseFamily, phaseHelp, "phase", name)
 }
 
 // queueWaitQuantile reads the aggregate queue-wait distribution (for

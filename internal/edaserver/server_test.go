@@ -647,6 +647,8 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown framework": `{"framework": "quantum"}`,
 		"unknown param":     `{"framework": "vrank", "params": {"depth": 2}}`,
 		"bad payload":       `{"framework": "slt", "problem": "adder4"}`,
+		"oversized source": `{"framework": "repair", "kernel": "f", "source": "` +
+			strings.Repeat(" ", 256<<10+1) + `"}`,
 	} {
 		resp := post(body)
 		resp.Body.Close()

@@ -1,15 +1,16 @@
-// Package obs is the zero-dependency telemetry core of the repo: atomic
-// counters and gauges, log-bucketed latency histograms with quantile
-// extraction, a registry that renders everything in Prometheus text
-// exposition format, and a per-job span recorder carried on the context
-// (see span.go).
+// Package obs is the zero-dependency telemetry core of the repo:
+// log-bucketed latency histograms with quantile extraction, a registry
+// that renders them in Prometheus text exposition format alongside
+// counter and gauge families harvested from the code that owns each
+// count, and a per-job span recorder carried on the context (see
+// span.go).
 //
 // Two contracts shape the API:
 //
-//   - Allocation-free when hot. Recording into a Counter, Gauge or
-//     Histogram is a handful of atomic adds — no locks, no maps, no
-//     allocation. Registry lookups (which do lock) happen at wiring
-//     time or once per job, never per simulated event.
+//   - Allocation-free when hot. Recording into a Histogram is a handful
+//     of atomic adds — no locks, no maps, no allocation. Registry
+//     lookups (which do lock) happen at wiring time or once per job,
+//     never per simulated event.
 //   - Zero overhead when off. Every recording method is safe on a nil
 //     receiver and returns immediately, so call sites follow the same
 //     `if x != nil`-guard discipline as the kernel's commit probes and
@@ -24,61 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric (Prometheus counter).
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n. Safe on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Inc increments the counter by one. Safe on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count. Safe on a nil receiver.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down (Prometheus gauge).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value. Safe on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by delta (may be negative). Safe on a nil receiver.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current gauge value. Safe on a nil receiver.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // metric kinds as they appear in `# TYPE` exposition lines.
 const (
@@ -87,28 +34,20 @@ const (
 	KindSummary = "summary"
 )
 
-// family is one named metric family: a help string, a kind, and one
-// instance per distinct label set.
+// family is one named histogram family: a help string and one
+// histogram per distinct label set.
 type family struct {
 	name string
 	help string
-	kind string
 
 	mu    sync.Mutex
-	insts map[string]*instance // keyed by rendered label block
+	hists map[string]*Histogram // keyed by rendered label block
 }
 
-type instance struct {
-	labels string // rendered `{k="v",...}` block, "" when unlabelled
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-}
-
-// Registry owns metric families and renders them as Prometheus text.
-// All methods are safe for concurrent use; Counter/Gauge/Histogram
-// return the same instance for the same (name, labels) pair, so call
-// sites may re-look-up instead of caching when off the hot path.
+// Registry owns histogram families and renders them as Prometheus text.
+// All methods are safe for concurrent use; Histogram returns the same
+// instance for the same (name, labels) pair, so call sites may
+// re-look-up instead of caching when off the hot path.
 type Registry struct {
 	mu    sync.Mutex
 	order []string
@@ -120,108 +59,61 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-// familyOf returns (creating if needed) the named family, panicking on
-// a kind conflict — mixing kinds under one name is a programming error
-// that would corrupt the exposition.
-func (r *Registry) familyOf(name, help, kind string) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.fams[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, insts: make(map[string]*instance)}
-		r.fams[name] = f
-		r.order = append(r.order, name)
-		return f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
-	}
-	return f
-}
-
-func (f *family) instanceOf(labels []string) *instance {
-	block := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	in, ok := f.insts[block]
-	if !ok {
-		in = &instance{labels: block}
-		switch f.kind {
-		case KindCounter:
-			in.c = new(Counter)
-		case KindGauge:
-			in.g = new(Gauge)
-		case KindSummary:
-			in.h = newHistogram()
-		}
-		f.insts[block] = in
-	}
-	return in
-}
-
-// Counter returns the counter for name and the given label pairs
-// (k1, v1, k2, v2, ...), registering the family on first use.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.familyOf(name, help, KindCounter).instanceOf(labels).c
-}
-
-// Gauge returns the gauge for name and the given label pairs.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.familyOf(name, help, KindGauge).instanceOf(labels).g
-}
-
 // Histogram returns the latency histogram for name and the given label
-// pairs. It is exposed as a Prometheus summary: quantile-labelled
-// samples plus _sum and _count.
+// pairs (k1, v1, k2, v2, ...), registering the family on first use. It
+// is exposed as a Prometheus summary: quantile-labelled samples plus
+// _sum and _count.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.familyOf(name, help, KindSummary).instanceOf(labels).h
+	r.mu.Lock()
+	f, ok := r.fams[name]
+	if !ok {
+		f = &family{name: name, help: help, hists: make(map[string]*Histogram)}
+		r.fams[name] = f
+		r.order = append(r.order, name)
+	}
+	r.mu.Unlock()
+	block := renderLabels(labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h, ok := f.hists[block]
+	if !ok {
+		h = newHistogram()
+		f.hists[block] = h
+	}
+	return h
 }
 
 // Expose writes every registered family in Prometheus text exposition
-// format (version 0.0.4), families in registration order and instances
-// in sorted label order so scrapes diff cleanly.
+// format (version 0.0.4), families in registration order and label sets
+// in sorted order so scrapes diff cleanly.
 func (r *Registry) Expose(w io.Writer) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
+	fams := make([]*family, 0, len(r.order))
+	for _, n := range r.order {
 		fams = append(fams, r.fams[n])
 	}
 	r.mu.Unlock()
 	for _, f := range fams {
 		f.mu.Lock()
-		blocks := make([]string, 0, len(f.insts))
-		for b := range f.insts {
+		blocks := make([]string, 0, len(f.hists))
+		for b := range f.hists {
 			blocks = append(blocks, b)
 		}
 		sort.Strings(blocks)
-		insts := make([]*instance, 0, len(blocks))
-		for _, b := range blocks {
-			insts = append(insts, f.insts[b])
+		hists := make([]*Histogram, len(blocks))
+		for i, b := range blocks {
+			hists[i] = f.hists[b]
 		}
 		f.mu.Unlock()
-		writeHeader(w, f.name, f.help, f.kind)
-		for _, in := range insts {
-			switch f.kind {
-			case KindCounter:
-				fmt.Fprintf(w, "%s%s %d\n", f.name, in.labels, in.c.Value())
-			case KindGauge:
-				fmt.Fprintf(w, "%s%s %d\n", f.name, in.labels, in.g.Value())
-			case KindSummary:
-				in.h.expose(w, f.name, in.labels)
-			}
+		writeHeader(w, f.name, f.help, KindSummary)
+		for i, h := range hists {
+			h.expose(w, f.name, blocks[i])
 		}
 	}
 }
@@ -234,10 +126,10 @@ type Sample struct {
 }
 
 // WriteFamily writes one complete counter/gauge family in exposition
-// format. It is the escape hatch for metrics whose source of truth
-// lives elsewhere (server atomics, FarmStats, faultinject counters):
-// the caller harvests values at scrape time and this keeps the
-// formatting and escaping in one place.
+// format. Every count lives with the code that counts it (server
+// atomics, FarmStats, faultinject counters): the caller harvests values
+// at scrape time and this keeps the formatting and escaping in one
+// place.
 func WriteFamily(w io.Writer, name, help, kind string, samples ...Sample) {
 	writeHeader(w, name, help, kind)
 	for _, s := range samples {

@@ -91,51 +91,43 @@ func TestHistogramEdgeCases(t *testing.T) {
 
 func TestRegistryIdentityAndExpose(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("jobs_total", "Jobs.", "state", "done")
-	c2 := r.Counter("jobs_total", "Jobs.", "state", "done")
-	if c1 != c2 {
-		t.Fatal("same (name, labels) returned distinct counters")
+	h1 := r.Histogram("phase_seconds", "Phase latency.", "phase", "sim")
+	h2 := r.Histogram("phase_seconds", "Phase latency.", "phase", "sim")
+	if h1 != h2 {
+		t.Fatal("same (name, labels) returned distinct histograms")
 	}
-	c1.Add(3)
-	r.Counter("jobs_total", "Jobs.", "state", "failed").Inc()
-	r.Gauge("queue_depth", "Queued jobs.").Set(7)
-	h := r.Histogram("phase_seconds", "Phase latency.", "phase", "sim")
-	h.Record(2 * time.Millisecond)
-	h.Record(4 * time.Millisecond)
+	h1.Record(2 * time.Millisecond)
+	h1.Record(4 * time.Millisecond)
+	r.Histogram("phase_seconds", "Phase latency.", "phase", "compile").Record(time.Millisecond)
+	r.Histogram("job_seconds", "Job latency.").Record(time.Millisecond)
 
 	var b strings.Builder
 	r.Expose(&b)
 	out := b.String()
 	for _, want := range []string{
-		"# HELP jobs_total Jobs.\n# TYPE jobs_total counter\n",
-		`jobs_total{state="done"} 3`,
-		`jobs_total{state="failed"} 1`,
-		"# TYPE queue_depth gauge",
-		"queue_depth 7",
-		"# TYPE phase_seconds summary",
+		"# HELP phase_seconds Phase latency.\n# TYPE phase_seconds summary\n",
 		`phase_seconds{phase="sim",quantile="0.5"}`,
 		`phase_seconds{phase="sim",quantile="0.99"}`,
 		`phase_seconds_count{phase="sim"} 2`,
+		`phase_seconds_count{phase="compile"} 1`,
+		"# TYPE job_seconds summary",
+		"job_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
+	// Label sets render in sorted order, families in registration order.
+	compile := strings.Index(out, `{phase="compile"`)
+	sim := strings.Index(out, `{phase="sim"`)
+	job := strings.Index(out, "job_seconds")
+	if compile > sim || sim > job {
+		t.Errorf("exposition out of order:\n%s", out)
+	}
 	// Sum in seconds: 6ms → 0.006.
 	if !strings.Contains(out, `phase_seconds_sum{phase="sim"} 0.006`) {
 		t.Errorf("exposition sum not in seconds:\n%s", out)
 	}
-}
-
-func TestRegistryKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "X.")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind conflict did not panic")
-		}
-	}()
-	r.Gauge("x_total", "X.")
 }
 
 func TestWriteFamilyEscaping(t *testing.T) {
@@ -153,20 +145,11 @@ func TestWriteFamilyEscaping(t *testing.T) {
 
 func TestNilRegistryAndMetrics(t *testing.T) {
 	var r *Registry
-	r.Counter("a", "A.").Inc()
-	r.Gauge("b", "B.").Set(1)
 	r.Histogram("c", "C.").Record(time.Second)
 	var b strings.Builder
 	r.Expose(&b)
 	if b.Len() != 0 {
 		t.Errorf("nil registry exposed %q", b.String())
-	}
-	var c *Counter
-	var g *Gauge
-	c.Inc()
-	g.Add(-1)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Error("nil counter/gauge hold values")
 	}
 }
 
@@ -218,7 +201,6 @@ func TestSpansContextAndNil(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "L.")
-	c := r.Counter("n_total", "N.")
 	s := NewSpans(PhaseSim)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -227,14 +209,13 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				h.Record(time.Duration(i) * time.Microsecond)
-				c.Inc()
 				s.Record(PhaseSim, time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 {
-		t.Errorf("counter=%d hist=%d, want 8000", c.Value(), h.Count())
+	if h.Count() != 8000 {
+		t.Errorf("hist=%d, want 8000", h.Count())
 	}
 	if sp := s.Get(PhaseSim); sp.N != 8000 {
 		t.Errorf("span n=%d, want 8000", sp.N)

@@ -14,15 +14,10 @@
 // artifact is immutable and every simulation is deterministic in its
 // seed, so cached and parallel batches are bit-identical to the serial,
 // cache-cold path.
-//
-// Importing the package installs the default farm as the compile cache
-// behind verilog.RunTestbench, so legacy call sites stop re-parsing
-// sources the farm has already seen.
 package simfarm
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -111,17 +106,10 @@ var (
 	defaultFarmOnce sync.Once
 )
 
-// Default returns the process-wide farm shared by every framework package
-// and by the legacy verilog.RunTestbench entry point.
+// Default returns the process-wide farm shared by every framework package.
 func Default() *Farm {
 	defaultFarmOnce.Do(func() { defaultFarm = New(Options{}) })
 	return defaultFarm
-}
-
-func init() {
-	// Route the legacy entry point through the shared cache: any package
-	// that links simfarm makes verilog.RunTestbench compile-once too.
-	verilog.SetTestbenchCompiler(Default().CompileTestbench)
 }
 
 // FarmStats reports per-layer cache traffic.
@@ -142,7 +130,7 @@ type FarmStats struct {
 // safe and cheap to poll from any number of goroutines while RunMany is
 // saturating the caches — the edaserver /v1/stats handler does exactly
 // that. Counters are loaded individually, not as one consistent cut; the
-// before/after deltas eda.Run records are taken at rest, where that
+// before/after deltas the CLI prints are taken at rest, where that
 // distinction vanishes.
 func (f *Farm) Stats() FarmStats {
 	return FarmStats{
@@ -184,38 +172,6 @@ func (s Stats) delta(earlier Stats) Stats {
 		Evictions: s.Evictions - earlier.Evictions,
 		Computes:  s.Computes - earlier.Computes,
 		Len:       s.Len,
-	}
-}
-
-// EmitStats streams the farm's per-cache counters as core cache events —
-// one per layer (parse, design, result) — to the given sink. Callers
-// wanting per-run traffic pass the delta of two snapshots.
-func EmitStats(sink core.Sink, stats FarmStats) {
-	if sink == nil {
-		return
-	}
-	for _, layer := range []struct {
-		name string
-		s    Stats
-	}{
-		{"parse", stats.Parses},
-		{"design", stats.Designs},
-		{"result", stats.Results},
-		{"lint", stats.Lints},
-	} {
-		detail := fmt.Sprintf("entries=%d", layer.s.Len)
-		if layer.name == "lint" {
-			detail = fmt.Sprintf("entries=%d rejects=%d", layer.s.Len, stats.LintRejects)
-		}
-		sink.Emit(core.Event{
-			Kind:      core.EventCache,
-			Framework: "simfarm",
-			Phase:     layer.name,
-			Detail:    detail,
-			Hits:      layer.s.Hits,
-			Misses:    layer.s.Misses,
-			Evictions: layer.s.Evictions,
-		})
 	}
 }
 
@@ -288,13 +244,6 @@ func (f *Farm) Compile(top string, srcs ...string) (*verilog.CompiledDesign, err
 		return &designResult{cd: cd, err: err}
 	}).(*designResult)
 	return dr.cd, dr.err
-}
-
-// CompileTestbench pairs a DUT compile with a testbench compile under the
-// bench's top module. This is the TestbenchCompiler installed behind
-// verilog.RunTestbench.
-func (f *Farm) CompileTestbench(dutSrc, tbSrc, tbTop string) (*verilog.CompiledDesign, error) {
-	return f.Compile(tbTop, dutSrc, tbSrc)
 }
 
 // resultKey identifies one deterministic run: the design identity plus
@@ -386,7 +335,7 @@ func (f *Farm) LintScreen(dutSrc, dutTop string) error {
 // RunTestbench is the cached equivalent of verilog.RunTestbench: compile
 // DUT+bench once, then memoize the run itself.
 func (f *Farm) RunTestbench(dutSrc, tbSrc, tbTop string, opts verilog.SimOptions) (*verilog.SimResult, error) {
-	cd, err := f.CompileTestbench(dutSrc, tbSrc, tbTop)
+	cd, err := f.Compile(tbTop, dutSrc, tbSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +449,7 @@ func (f *Farm) runJobCtx(ctx context.Context, job Job) (out Result) {
 		}
 	}
 	start := time.Now()
-	cd, err := f.CompileTestbench(job.DUT, job.TB, job.Top)
+	cd, err := f.Compile(job.Top, job.DUT, job.TB)
 	if sp != nil {
 		sp.Since(obs.PhaseCompile, start)
 	}

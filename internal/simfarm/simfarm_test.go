@@ -223,21 +223,3 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 	}
 	Map(0, 3, func(int) { t.Error("fn called for n=0") })
 }
-
-// TestLegacyRunTestbenchUsesFarm verifies the verilog compatibility entry
-// point routes through the default farm's caches.
-func TestLegacyRunTestbenchUsesFarm(t *testing.T) {
-	dut := tinyDUT(991)
-	before := Default().Stats()
-	if _, err := verilog.RunTestbench(dut, tinyTB, "tb", verilog.SimOptions{}); err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	if _, err := verilog.RunTestbench(dut, tinyTB, "tb", verilog.SimOptions{}); err != nil {
-		t.Fatalf("legacy rerun: %v", err)
-	}
-	after := Default().Stats()
-	if after.Designs.Hits <= before.Designs.Hits {
-		t.Errorf("legacy RunTestbench re-parsed a cached design: %+v -> %+v",
-			before.Designs, after.Designs)
-	}
-}

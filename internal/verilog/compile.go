@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
-	"sync"
 	"unsafe"
 )
 
@@ -126,35 +125,4 @@ func hashString(h hash.Hash, s string) {
 // and concurrent runs are bit-identical to a freshly compiled serial run.
 func (cd *CompiledDesign) Run(opts SimOptions) (*SimResult, error) {
 	return NewSimulator(cd.Design, opts).Run()
-}
-
-// TestbenchCompiler produces a compiled DUT+testbench pair. The simfarm
-// package installs a caching implementation at init time so that the
-// legacy RunTestbench entry point stops re-parsing sources the farm has
-// already seen; without an installed compiler the direct path is used.
-type TestbenchCompiler func(dutSrc, tbSrc, tbTop string) (*CompiledDesign, error)
-
-var (
-	tbCompilerMu sync.RWMutex
-	tbCompiler   TestbenchCompiler
-)
-
-// SetTestbenchCompiler installs the shared compile cache used by
-// RunTestbench. Passing nil restores the direct, uncached path.
-func SetTestbenchCompiler(c TestbenchCompiler) {
-	tbCompilerMu.Lock()
-	tbCompiler = c
-	tbCompilerMu.Unlock()
-}
-
-// compileTestbench resolves a DUT+TB pair through the installed cache, or
-// compiles directly when none is installed.
-func compileTestbench(dutSrc, tbSrc, tbTop string) (*CompiledDesign, error) {
-	tbCompilerMu.RLock()
-	c := tbCompiler
-	tbCompilerMu.RUnlock()
-	if c != nil {
-		return c(dutSrc, tbSrc, tbTop)
-	}
-	return CompileSources(tbTop, dutSrc, tbSrc)
 }

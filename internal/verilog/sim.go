@@ -724,14 +724,13 @@ func CompileAndRun(src, top string, opts SimOptions) (*SimResult, error) {
 	return cd.Run(opts)
 }
 
-// RunTestbench pairs a DUT source with a testbench source and simulates
-// the testbench top. It is the compatibility entry point the framework
-// packages historically scored candidates through; it now routes through
-// the shared compile cache (see SetTestbenchCompiler), so a DUT or bench
-// the farm has already compiled is never re-parsed. Its diagnostics are
-// phrased the way an EDA tool would phrase them.
+// RunTestbench pairs a DUT source with a testbench source, compiles them
+// under the testbench top and simulates it. It compiles on every call;
+// simfarm.RunTestbench is the cached equivalent the frameworks score
+// candidates through. Its diagnostics are phrased the way an EDA tool
+// would phrase them.
 func RunTestbench(dutSrc, tbSrc, tbTop string, opts SimOptions) (*SimResult, error) {
-	cd, err := compileTestbench(dutSrc, tbSrc, tbTop)
+	cd, err := CompileSources(tbTop, dutSrc, tbSrc)
 	if err != nil {
 		return nil, err
 	}
