@@ -48,13 +48,16 @@ golden:
 
 # Fuzz each target for a few seconds: the §V scoring path (C parser,
 # compiler, processor model) with arbitrary C text (FuzzScore in
-# internal/slt), and the SSE replay ring's resume cursor against a plain
-# slice (FuzzBroadcasterCursor in internal/edaserver). A failing input
-# lands in the package's testdata/fuzz/<target>; commit it with the fix,
-# and plain `go test` replays it from then on.
+# internal/slt), the SSE replay ring's resume cursor against a plain
+# slice (FuzzBroadcasterCursor in internal/edaserver), and the farm's
+# cache probe against a map plus a recency slice (FuzzLRU in
+# internal/simfarm). A failing input lands in the package's
+# testdata/fuzz/<target>; commit it with the fix, and plain `go test`
+# replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScore$$' -fuzztime 5s ./internal/slt
 	$(GO) test -run '^$$' -fuzz '^FuzzBroadcasterCursor$$' -fuzztime 5s ./internal/edaserver
+	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s ./internal/simfarm
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks

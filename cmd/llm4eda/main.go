@@ -290,13 +290,10 @@ func cmdExp(args []string) error {
 // line per cache layer. A CLI process runs nothing else on the farm, so
 // the difference counts only the command's own cache lookups.
 func printCacheStats(w io.Writer, st simfarm.FarmStats) {
-	for _, l := range []struct {
-		name string
-		s    simfarm.Stats
-	}{{"parse", st.Parses}, {"design", st.Designs}, {"result", st.Results}, {"lint", st.Lints}} {
-		fmt.Fprintf(w, "[simfarm] cache %-6s hits=%d misses=%d evictions=%d entries=%d",
-			l.name, l.s.Hits, l.s.Misses, l.s.Evictions, l.s.Len)
-		if l.name == "lint" {
+	for _, l := range st.Layers() {
+		fmt.Fprintf(w, "[simfarm] cache %-6s hits=%d misses=%d computes=%d evictions=%d entries=%d",
+			l.Name, l.Hits, l.Misses, l.Computes, l.Evictions, l.Len)
+		if l.Name == "lint" {
 			fmt.Fprintf(w, " rejects=%d", st.LintRejects)
 		}
 		fmt.Fprintln(w)

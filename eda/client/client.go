@@ -510,7 +510,7 @@ func (c *Client) eventsOnce(ctx context.Context, id string, sink eda.Sink, lastS
 		return nil
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxSSELine)
+	sc.Buffer(nil, maxSSELine) // starts at bufio's default, grows per long line
 	for sc.Scan() {
 		line := sc.Text()
 		switch {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"llm4eda/eda"
@@ -41,12 +42,15 @@ func TestDecodeReport(t *testing.T) {
 }
 
 // TestEventsParsesSSE drives the SSE reader over a hand-written stream:
-// comment frames are skipped, event frames land in the sink in order,
-// and the end frame yields the terminal job status.
+// comment frames are skipped, event frames land in the sink in order, a
+// data line far past bufio's default buffer still decodes, and the end
+// frame yields the terminal job status.
 func TestEventsParsesSSE(t *testing.T) {
-	const stream = ": 2 earlier events evicted from the replay buffer\n\n" +
+	long := strings.Repeat("x", 256<<10)
+	stream := ": 2 earlier events evicted from the replay buffer\n\n" +
 		"event: run-start\ndata: {\"kind\":\"run-start\",\"framework\":\"vrank\"}\n\n" +
 		"event: note\ndata: {\"kind\":\"note\",\"detail\":\"working\"}\n\n" +
+		"event: note\ndata: {\"kind\":\"note\",\"detail\":\"" + long + "\"}\n\n" +
 		"event: end\ndata: {\"id\":\"j7\",\"state\":\"done\",\"cached\":true}\n\n"
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/jobs/j7/events" {
@@ -67,8 +71,11 @@ func TestEventsParsesSSE(t *testing.T) {
 	if final.ID != "j7" || final.State != "done" || !final.Cached {
 		t.Errorf("final = %+v", final)
 	}
-	if len(got) != 2 || got[0].Kind != eda.EventRunStart || got[1].Detail != "working" {
-		t.Errorf("events = %+v", got)
+	if len(got) != 3 || got[0].Kind != eda.EventRunStart || got[1].Detail != "working" {
+		t.Fatalf("got %d events, want 3", len(got))
+	}
+	if got[2].Detail != long {
+		t.Errorf("long detail decoded to %d bytes, want %d", len(got[2].Detail), len(long))
 	}
 
 	// A stream that ends without the end frame is a truncation error.

@@ -117,15 +117,7 @@ func (s *Server) harvestMetrics(w io.Writer) {
 
 	// Farm cache layers, lint screen, recovered worker panics.
 	fs := st.Farm
-	layers := []struct {
-		name string
-		st   simfarm.Stats
-	}{
-		{"parse", fs.Parses},
-		{"design", fs.Designs},
-		{"result", fs.Results},
-		{"lint", fs.Lints},
-	}
+	layers := fs.Layers()
 	kinds := []struct {
 		suffix, help string
 		get          func(simfarm.Stats) float64
@@ -138,13 +130,13 @@ func (s *Server) harvestMetrics(w io.Writer) {
 	for _, k := range kinds {
 		samples := make([]obs.Sample, 0, len(layers))
 		for _, l := range layers {
-			samples = append(samples, obs.Sample{Labels: []string{"layer", l.name}, Value: k.get(l.st)})
+			samples = append(samples, obs.Sample{Labels: []string{"layer", l.Name}, Value: k.get(l.Stats)})
 		}
 		obs.WriteFamily(w, "llm4eda_farm_"+k.suffix, k.help, obs.KindCounter, samples...)
 	}
 	entrySamples := make([]obs.Sample, 0, len(layers))
 	for _, l := range layers {
-		entrySamples = append(entrySamples, obs.Sample{Labels: []string{"layer", l.name}, Value: float64(l.st.Len)})
+		entrySamples = append(entrySamples, obs.Sample{Labels: []string{"layer", l.Name}, Value: float64(l.Len)})
 	}
 	obs.WriteFamily(w, "llm4eda_farm_entries", "Farm cache entries retained, by layer.",
 		obs.KindGauge, entrySamples...)

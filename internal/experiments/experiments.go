@@ -648,7 +648,7 @@ func (r Runner) E12LintScreening(ctx context.Context) *core.Experiment {
 	limit := r.pick(8, len(suite))
 	arm := func(screen bool) (converged, attempted, rounds int, rejects int64, computes uint64, failed bool) {
 		model := llm.NewSimModel(llm.TierFrontier, r.Seed+89)
-		farm := simfarm.New(simfarm.Options{})
+		farm := simfarm.New()
 		for _, p := range suite {
 			if attempted >= limit || ctx.Err() != nil {
 				break

@@ -8,44 +8,42 @@ import (
 
 // Stats is a point-in-time snapshot of one cache's traffic counters.
 type Stats struct {
+	// Hits counts lookups answered without computing: a cached value or
+	// a join on another caller's in-flight compute. Misses counts
+	// lookups that led a compute, so a run's split does not depend on
+	// how its workers were scheduled.
 	Hits, Misses, Evictions uint64
-	// Computes counts value constructions performed through getOrCompute.
-	// With in-flight deduplication, N concurrent misses on one key still
-	// yield exactly one compute; the N-1 followers block on the leader.
+	// Computes counts value constructions that returned; it equals
+	// Misses unless a compute panicked.
 	Computes uint64
 	Len      int
 }
 
-// lru is a mutex-guarded, capacity-bounded LRU map. Values are immutable
-// artifacts (parsed files, compiled designs, simulation results), so a hit
+// lru is a capacity-bounded LRU map with per-key in-flight deduplication
+// (singleflight). Values are immutable artifacts (content hashes, parsed
+// files, compiled designs, simulation results, lint outcomes), so a hit
 // hands back the shared pointer; eviction only drops the cache's own
-// reference. getOrCompute adds per-key in-flight deduplication
-// (singleflight): concurrent misses on the same key block on one leader's
-// computation instead of duplicating it — under RunMany with duplicate
-// candidates the seed design recomputed identical simulations whenever
-// duplicates landed in the same scheduling window.
+// reference. One mutex guards both the entries and the in-flight table,
+// so a key is cached, in flight or absent, never two at once.
 //
-// The traffic counters are atomics deliberately kept outside mu: snapshot
-// never takes the map lock, so an observability poller (the edaserver
-// /v1/stats handler, the per-run deltas eda.Run records) can hammer
-// Stats() without contending with worker-pool cache probes. A snapshot is
-// therefore not one consistent cut across counters — hits observed
-// mid-probe may be a step ahead of len — which is fine for monitoring and
-// for the settled before/after deltas the callers take.
+// The traffic counters are atomics kept outside mu: snapshot never takes
+// the map lock, so an observability poller (the edaserver /v1/stats
+// handler) can hammer Stats() without contending with worker-pool cache
+// probes. A snapshot is therefore not one consistent cut across
+// counters, which is fine for monitoring and for the settled
+// before/after deltas the CLI takes.
 type lru struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	ll  *list.List // front = most recently used
+	mu      sync.Mutex
+	cap     int
+	m       map[string]*list.Element
+	ll      *list.List // front = most recently used
+	flights map[string]*flight
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	computes  atomic.Uint64
 	length    atomic.Int64
-
-	fmu     sync.Mutex
-	flights map[string]*flight
 }
 
 // flight is one in-progress computation that concurrent misses join.
@@ -62,9 +60,6 @@ type entry struct {
 }
 
 func newLRU(capacity int) *lru {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &lru{
 		cap:     capacity,
 		m:       make(map[string]*list.Element),
@@ -73,95 +68,58 @@ func newLRU(capacity int) *lru {
 	}
 }
 
-// getOrCompute returns the cached value for key, computing it on a miss.
-// Concurrent callers missing the same key are deduplicated: exactly one
-// runs compute, the rest wait and share the result.
+// getOrCompute is the cache's one probe: it returns the value cached for
+// key, or joins the caller already computing it, or computes it. Under
+// RunMany, duplicate candidates that land in the same scheduling window
+// share one compute instead of each running it.
 func (c *lru) getOrCompute(key string, compute func() any) any {
-	if v, ok := c.get(key); ok {
+	c.mu.Lock()
+	if el, ok := c.m[key]; ok {
+		c.ll.MoveToFront(el)
+		v := el.Value.(*entry).val
+		c.mu.Unlock()
+		c.hits.Add(1)
 		return v
 	}
-	c.fmu.Lock()
 	if f, ok := c.flights[key]; ok {
-		c.fmu.Unlock()
+		c.mu.Unlock()
 		<-f.done
-		if f.ok {
-			return f.val
+		if !f.ok {
+			// The leader panicked out of compute and cached nothing;
+			// retry rather than hand back a nil value.
+			return c.getOrCompute(key, compute)
 		}
-		// The leader panicked out of compute; its flight is gone, so
-		// retry from scratch rather than hand back a nil value.
-		return c.getOrCompute(key, compute)
+		c.hits.Add(1)
+		return f.val
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
-	c.fmu.Unlock()
+	c.mu.Unlock()
+	c.misses.Add(1)
 
 	// Unwind in a defer so a panicking compute still releases followers
-	// blocked on f.done and clears the flight entry; the panic itself
-	// propagates to this leader's caller.
+	// blocked on f.done and clears the flight; the panic itself
+	// propagates to this leader's caller and nothing is cached.
 	defer func() {
-		c.fmu.Lock()
+		c.mu.Lock()
 		delete(c.flights, key)
-		c.fmu.Unlock()
+		if f.ok {
+			c.m[key] = c.ll.PushFront(&entry{key: key, val: f.val})
+			for c.ll.Len() > c.cap {
+				oldest := c.ll.Back()
+				c.ll.Remove(oldest)
+				delete(c.m, oldest.Value.(*entry).key)
+				c.evictions.Add(1)
+			}
+			c.length.Store(int64(c.ll.Len()))
+		}
+		c.mu.Unlock()
 		close(f.done)
 	}()
-
-	if v, ok := c.peek(key); ok {
-		// A previous leader finished between our miss and our flight
-		// registration; serve its value rather than recomputing.
-		f.val = v
-	} else {
-		f.val = compute()
-		c.add(key, f.val)
-		c.computes.Add(1)
-	}
+	f.val = compute()
 	f.ok = true
+	c.computes.Add(1)
 	return f.val
-}
-
-// peek returns the cached value without touching LRU order or counters.
-func (c *lru) peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*entry).val, true
-}
-
-// get returns the cached value and marks it most recently used.
-func (c *lru) get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// add inserts (or refreshes) a value, evicting the least recently used
-// entry when the cache is over capacity.
-func (c *lru) add(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*entry).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&entry{key: key, val: val})
-	c.length.Add(1)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*entry).key)
-		c.evictions.Add(1)
-		c.length.Add(-1)
-	}
 }
 
 // snapshot returns the current counters without taking the map lock; see
@@ -176,7 +134,8 @@ func (c *lru) snapshot() Stats {
 	}
 }
 
-// purge drops every entry but keeps the counters.
+// purge drops every entry but keeps the counters. A compute in flight
+// still caches its value when it returns.
 func (c *lru) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -109,7 +109,7 @@ endmodule`, i)
 // propagation into the unstarted slots.
 func TestRunManyCtxCancelMidBatch(t *testing.T) {
 	goroutineGuard(t)
-	farm := New(Options{})
+	farm := New()
 	jobs := slowJobs(64)
 
 	// Calibrate one job so the timing bound adapts to the machine.
@@ -168,7 +168,7 @@ func TestRunManyCtxPreCancelled(t *testing.T) {
 	goroutineGuard(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	farm := New(Options{})
+	farm := New()
 	results, err := farm.RunManyCtx(ctx, slowJobs(8), 4)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -202,7 +202,7 @@ func TestMapCtxSerialPathChecksContext(t *testing.T) {
 }
 
 func TestEmitStatsDelta(t *testing.T) {
-	farm := New(Options{})
+	farm := New()
 	tb := "module tb; initial $finish; endmodule"
 	dut := "module d(output y); assign y = 1'b0; endmodule"
 	if _, err := farm.RunTestbench(dut, tb, "tb", verilog.SimOptions{}); err != nil {

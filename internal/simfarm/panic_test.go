@@ -17,7 +17,7 @@ import (
 // touched was cached.
 func TestFarmJobPanicRecovered(t *testing.T) {
 	goroutineGuard(t)
-	farm := New(Options{})
+	farm := New()
 	farm.SetFaults(faultinject.New(faultinject.Plan{Faults: []faultinject.Fault{
 		{Point: faultinject.PointFarmJob, Kind: faultinject.KindPanic, Every: 1, Max: 1},
 	}}))

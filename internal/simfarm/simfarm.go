@@ -1,19 +1,21 @@
 // Package simfarm is the compile-once/run-many simulation engine behind
 // every candidate-scoring framework in the suite (AutoChip, VRank,
-// crosscheck, the agent, HLS cosim). It layers three content-addressed,
-// mutex-guarded LRU caches over the verilog front end —
+// crosscheck, the agent, HLS cosim, xdebug). It layers five
+// content-addressed, mutex-guarded LRU caches over the verilog front end —
 //
-//	parse:   source text            -> parsed module list
+//	hash:    source text            -> content hash
+//	parse:   source hash            -> parsed module list
 //	design:  (sources, top)         -> elaborated CompiledDesign
 //	result:  (design, sim options)  -> SimResult
+//	lint:    (DUT source, DUT top)  -> static-analysis outcome
 //
 // — plus a bounded worker pool (RunMany) that simulates independent
-// candidates concurrently. The design and result layers deduplicate
-// concurrent misses in flight (singleflight), and a source-hash memo
-// keeps repeated cache probes from re-hashing full sources. Every cached
-// artifact is immutable and every simulation is deterministic in its
-// seed, so cached and parallel batches are bit-identical to the serial,
-// cache-cold path.
+// candidates concurrently. Every layer probes through one singleflight
+// lookup: concurrent misses on a key compute once, and a caller that
+// joins a compute in flight counts a hit, so each layer's misses equal
+// its computes. Every cached artifact is immutable and every simulation
+// is deterministic in its seed, so cached and parallel batches are
+// bit-identical to the serial, cache-cold path.
 package simfarm
 
 import (
@@ -32,30 +34,15 @@ import (
 	"llm4eda/internal/vlint"
 )
 
-// Options bound the default cache capacities. Zero values select
-// defaults sized for the benchmark suites (hundreds of candidates ×
-// a handful of benches).
-type Options struct {
-	// ParseCap bounds cached parsed sources (default 512).
-	ParseCap int
-	// DesignCap bounds cached elaborated designs (default 512).
-	DesignCap int
-	// ResultCap bounds cached simulation results (default 2048).
-	ResultCap int
-}
-
-func (o Options) withDefaults() Options {
-	if o.ParseCap == 0 {
-		o.ParseCap = 512
-	}
-	if o.DesignCap == 0 {
-		o.DesignCap = 512
-	}
-	if o.ResultCap == 0 {
-		o.ResultCap = 2048
-	}
-	return o
-}
+// Layer capacities, sized for the benchmark suites (hundreds of
+// candidates × a handful of benches).
+const (
+	parseCap  = 512
+	designCap = 512
+	resultCap = 2048
+	hashCap   = 1024
+	lintCap   = 512
+)
 
 // Farm owns the cache hierarchy. A single Farm is safe for concurrent use
 // from any number of goroutines.
@@ -89,15 +76,14 @@ func (f *Farm) SetFaults(in *faultinject.Injector) {
 	f.faults.Store(in)
 }
 
-// New builds a farm with the given capacities.
-func New(opts Options) *Farm {
-	opts = opts.withDefaults()
+// New builds an empty farm.
+func New() *Farm {
 	return &Farm{
-		parses:  newLRU(opts.ParseCap),
-		designs: newLRU(opts.DesignCap),
-		results: newLRU(opts.ResultCap),
-		hashes:  newLRU(2 * opts.ParseCap),
-		lints:   newLRU(opts.ParseCap),
+		parses:  newLRU(parseCap),
+		designs: newLRU(designCap),
+		results: newLRU(resultCap),
+		hashes:  newLRU(hashCap),
+		lints:   newLRU(lintCap),
 	}
 }
 
@@ -108,7 +94,7 @@ var (
 
 // Default returns the process-wide farm shared by every framework package.
 func Default() *Farm {
-	defaultFarmOnce.Do(func() { defaultFarm = New(Options{}) })
+	defaultFarmOnce.Do(func() { defaultFarm = New() })
 	return defaultFarm
 }
 
@@ -120,6 +106,8 @@ type FarmStats struct {
 	// simulation the farm did not spend).
 	Lints       Stats
 	LintRejects int64
+	// Hashes is the source-hash memo's traffic.
+	Hashes Stats
 	// Panics counts worker panics recovered into Result.Err instead of
 	// crashing the process.
 	Panics int64
@@ -139,7 +127,24 @@ func (f *Farm) Stats() FarmStats {
 		Results:     f.results.snapshot(),
 		Lints:       f.lints.snapshot(),
 		LintRejects: f.lintRejects.Load(),
+		Hashes:      f.hashes.snapshot(),
 		Panics:      f.panics.Load(),
+	}
+}
+
+// LayerStats is one cache layer's counters under its metric label.
+type LayerStats struct {
+	Name string
+	Stats
+}
+
+// Layers returns every cache layer's counters in one fixed order, so each
+// surface that renders them (the CLI, /v1/metrics) lists the same layers
+// under the same names.
+func (s FarmStats) Layers() []LayerStats {
+	return []LayerStats{
+		{"parse", s.Parses}, {"design", s.Designs}, {"result", s.Results},
+		{"lint", s.Lints}, {"hash", s.Hashes},
 	}
 }
 
@@ -161,6 +166,7 @@ func (s FarmStats) Delta(earlier FarmStats) FarmStats {
 		Results:     s.Results.delta(earlier.Results),
 		Lints:       s.Lints.delta(earlier.Lints),
 		LintRejects: s.LintRejects - earlier.LintRejects,
+		Hashes:      s.Hashes.delta(earlier.Hashes),
 		Panics:      s.Panics - earlier.Panics,
 	}
 }
@@ -197,24 +203,16 @@ type simResult struct {
 
 // sourceHash returns the memoized content hash of one source text.
 func (f *Farm) sourceHash(src string) string {
-	if v, ok := f.hashes.get(src); ok {
-		return v.(string)
-	}
-	h := verilog.HashSources("", src)
-	f.hashes.add(src, h)
-	return h
+	return f.hashes.getOrCompute(src, func() any { return verilog.HashSources("", src) }).(string)
 }
 
-// Parse returns the cached parse of src, parsing on miss.
-func (f *Farm) Parse(src string) (*verilog.SourceFile, error) {
-	key := f.sourceHash(src)
-	if v, ok := f.parses.get(key); ok {
-		pr := v.(*parseResult)
-		return pr.file, pr.err
-	}
-	file, err := verilog.Parse(src)
-	f.parses.add(key, &parseResult{file: file, err: err})
-	return file, err
+// parse returns the cached parse of src, parsing on miss.
+func (f *Farm) parse(src string) (*verilog.SourceFile, error) {
+	pr := f.parses.getOrCompute(f.sourceHash(src), func() any {
+		file, err := verilog.Parse(src)
+		return &parseResult{file: file, err: err}
+	}).(*parseResult)
+	return pr.file, pr.err
 }
 
 // Compile returns the cached elaboration of the given sources under top,
@@ -234,7 +232,7 @@ func (f *Farm) Compile(top string, srcs ...string) (*verilog.CompiledDesign, err
 	dr := f.designs.getOrCompute(key, func() any {
 		files := make([]*verilog.SourceFile, len(srcs))
 		for i, src := range srcs {
-			file, err := f.Parse(src)
+			file, err := f.parse(src)
 			if err != nil {
 				return &designResult{err: err}
 			}
@@ -294,7 +292,7 @@ type lintOutcome struct {
 func (f *Farm) lint(dutSrc, dutTop string) *lintOutcome {
 	key := f.sourceHash(dutSrc) + "|" + dutTop
 	return f.lints.getOrCompute(key, func() any {
-		file, err := f.Parse(dutSrc)
+		file, err := f.parse(dutSrc)
 		if err != nil {
 			return &lintOutcome{err: err}
 		}
@@ -382,10 +380,10 @@ func (r Result) Passed() bool {
 // own Simulator and its own seed, so the output slice is bit-identical to
 // running the same jobs serially in a loop — scheduling affects only
 // wall-clock time. Shared substructure (a bench reused across candidates,
-// duplicate candidate sources) is served from the farm's caches; there is
-// no in-flight coalescing, so duplicates that land on workers in the same
-// scheduling window may each recompute before the first result is cached —
-// a wasted-work worst case, never a correctness one.
+// duplicate candidate sources) is served from the farm's caches, and
+// duplicates that land on workers in the same scheduling window join one
+// in-flight compute, so the farm's counters are the same for every
+// schedule.
 func (f *Farm) RunMany(jobs []Job, workers int) []Result {
 	results, _ := f.RunManyCtx(context.Background(), jobs, workers)
 	return results

@@ -27,7 +27,7 @@ endmodule
 `
 
 func TestRunTestbenchPasses(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	res, err := f.RunTestbench(tinyDUT(0), tinyTB, "tb", verilog.SimOptions{})
 	if err != nil {
 		t.Fatalf("RunTestbench: %v", err)
@@ -38,7 +38,7 @@ func TestRunTestbenchPasses(t *testing.T) {
 }
 
 func TestCacheHitMissAndResultMemo(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	dut := tinyDUT(1)
 	r1, err := f.RunTestbench(dut, tinyTB, "tb", verilog.SimOptions{})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestCacheHitMissAndResultMemo(t *testing.T) {
 }
 
 func TestCompileErrorIsCached(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	broken := "module inv(input a output y); endmodule" // missing comma
 	_, err1 := f.RunTestbench(broken, tinyTB, "tb", verilog.SimOptions{})
 	_, err2 := f.RunTestbench(broken, tinyTB, "tb", verilog.SimOptions{})
@@ -95,22 +95,29 @@ func TestCompileErrorIsCached(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
-	c.add("a", 1)
-	c.add("b", 2)
-	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
+	// cached reports whether key was still cached: a cached probe never
+	// runs its compute.
+	cached := func(key string) bool {
+		hit := true
+		c.getOrCompute(key, func() any { hit = false; return key })
+		return hit
+	}
+	cached("a")
+	cached("b")
+	if !cached("a") { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.add("c", 3)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.get("a"); !ok {
+	cached("c")
+	if !cached("a") {
 		t.Error("a evicted despite refresh")
 	}
-	if _, ok := c.get("c"); !ok {
+	if !cached("c") {
 		t.Error("c missing")
 	}
-	if s := c.snapshot(); s.Evictions != 1 || s.Len != 2 {
+	if cached("b") {
+		t.Error("b should have been evicted")
+	}
+	if s := c.snapshot(); s.Evictions != 2 || s.Len != 2 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -119,7 +126,8 @@ func TestLRUEviction(t *testing.T) {
 // overlapping jobs; run under -race this is the concurrency safety net
 // for the whole cache hierarchy.
 func TestConcurrentFarm(t *testing.T) {
-	f := New(Options{ParseCap: 8, DesignCap: 4, ResultCap: 4}) // tiny: force evictions
+	// Tiny layers force evictions.
+	f := &Farm{parses: newLRU(8), designs: newLRU(4), results: newLRU(4), hashes: newLRU(16), lints: newLRU(8)}
 	const goroutines = 16
 	const iters = 25
 	var wg sync.WaitGroup
@@ -176,7 +184,7 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		want[i] = Result{Res: res, Err: err}
 	}
 
-	got := New(Options{}).RunMany(jobs, 4)
+	got := New().RunMany(jobs, 4)
 	if len(got) != len(want) {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -201,7 +209,7 @@ func TestRunManyEmptyAndWorkerClamp(t *testing.T) {
 	}
 	// More workers than jobs must not deadlock or drop results.
 	jobs := []Job{{DUT: tinyDUT(0), TB: tinyTB, Top: "tb"}}
-	got := New(Options{}).RunMany(jobs, 64)
+	got := New().RunMany(jobs, 64)
 	if len(got) != 1 || !got[0].Passed() {
 		t.Errorf("single-job batch broken: %+v", got)
 	}

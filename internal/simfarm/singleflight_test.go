@@ -14,7 +14,7 @@ import (
 // for the leader instead of recomputing (the seed farm's documented race
 // burned one duplicate compute per concurrently-missing worker).
 func TestSingleflightDedupesConcurrentMisses(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	dut := tinyDUT(4242)
 	const n = 16
 
@@ -52,10 +52,40 @@ func TestSingleflightDedupesConcurrentMisses(t *testing.T) {
 	}
 }
 
+// TestConcurrentParseComputesOnce: N goroutines parsing one source
+// through a fresh farm parse and hash it once, and count one miss each.
+func TestConcurrentParseComputesOnce(t *testing.T) {
+	f := New()
+	src := tinyDUT(77)
+	const n = 16
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-gate
+			if _, err := f.parse(src); err != nil {
+				t.Errorf("parse: %v", err)
+			}
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	s := f.Stats()
+	want := Stats{Hits: n - 1, Misses: 1, Computes: 1, Len: 1}
+	if s.Parses != want {
+		t.Errorf("parse layer %+v, want %+v", s.Parses, want)
+	}
+	if s.Hashes != want {
+		t.Errorf("hash layer %+v, want %+v", s.Hashes, want)
+	}
+}
+
 // TestSingleflightDistinctKeysDoNotBlock sanity-checks that dedup is
 // per-key: distinct designs all compute.
 func TestSingleflightDistinctKeysDoNotBlock(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -117,7 +147,7 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower deadlocked after leader panic")
 	}
-	if v, ok := c.get("k"); !ok || v != "fallback" {
-		t.Errorf("cache holds %v (ok=%v) after retry, want fallback", v, ok)
+	if v := c.getOrCompute("k", func() any { return "recomputed" }); v != "fallback" {
+		t.Errorf("cache holds %v after retry, want fallback", v)
 	}
 }

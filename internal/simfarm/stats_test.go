@@ -1,8 +1,11 @@
 package simfarm
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"llm4eda/internal/verilog"
 )
 
 // TestStatsConcurrentWithRunMany hammers Stats() from several goroutines
@@ -12,7 +15,7 @@ import (
 // real assertion; the monotonicity checks pin that lock-free snapshots
 // still read sane counter values mid-flight.
 func TestStatsConcurrentWithRunMany(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	var stop atomic.Bool
 	const pollers = 4
 	done := make(chan struct{}, pollers)
@@ -63,5 +66,41 @@ func TestStatsConcurrentWithRunMany(t *testing.T) {
 	}
 	if got := s.Results.Len; got != 16 {
 		t.Errorf("result cache len = %d, want 16", got)
+	}
+}
+
+// TestRunManyCountersRepeat runs one batch with duplicate candidates on 8
+// workers through 20 fresh farms. A lookup that joins another worker's
+// in-flight compute counts as a hit, so every farm reports the same
+// counters, each layer's misses are its distinct keys, and misses equal
+// computes.
+func TestRunManyCountersRepeat(t *testing.T) {
+	// 32 jobs over 6 candidates × 4 seeds (12 distinct runs), linted,
+	// against one bench.
+	jobs := make([]Job, 32)
+	for i := range jobs {
+		jobs[i] = Job{DUT: tinyDUT(i % 6), TB: tinyTB, Top: "tb", DUTTop: "inv", Lint: true,
+			Opts: verilog.SimOptions{Seed: uint64(i % 4)}}
+	}
+	// Probes per layer: one design, result and lint probe per job; two
+	// parse probes per design compute and one per lint compute; a hash
+	// probe per source in each Compile, per lint key and per parse.
+	want := []LayerStats{
+		{"parse", Stats{Hits: 18 - 7, Misses: 7, Computes: 7, Len: 7}},
+		{"design", Stats{Hits: 32 - 6, Misses: 6, Computes: 6, Len: 6}},
+		{"result", Stats{Hits: 32 - 12, Misses: 12, Computes: 12, Len: 12}},
+		{"lint", Stats{Hits: 32 - 6, Misses: 6, Computes: 6, Len: 6}},
+		{"hash", Stats{Hits: 64 + 32 + 18 - 7, Misses: 7, Computes: 7, Len: 7}},
+	}
+	for run := 0; run < 20; run++ {
+		f := New()
+		for i, r := range f.RunMany(jobs, 8) {
+			if !r.Passed() {
+				t.Fatalf("run %d job %d failed: %+v", run, i, r)
+			}
+		}
+		if got := f.Stats().Layers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d counters:\n got %+v\nwant %+v", run, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package xdebug
 import (
 	"fmt"
 
+	"llm4eda/internal/simfarm"
 	"llm4eda/internal/verilog"
 )
 
@@ -26,7 +27,7 @@ type rtlTrace struct {
 // attached, and reconstructs the aligned trace. The returned SimResult
 // carries any runtime fault; compile errors return as err.
 func (h *Harness) traceRTL(candidate string) (*rtlTrace, *verilog.SimResult, error) {
-	cd, err := verilog.CompileSources(benchTop, candidate, h.bench)
+	cd, err := simfarm.Default().Compile(benchTop, candidate, h.bench)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,7 +33,7 @@ import (
 
 	"llm4eda/internal/benchset"
 	"llm4eda/internal/chdl"
-	"llm4eda/internal/verilog"
+	"llm4eda/internal/simfarm"
 )
 
 // Diagnosis outcomes.
@@ -240,7 +240,7 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 	// the override table promises the signal exists there, and its
 	// reference width masks the compare.
 	if len(p.XAlign) > 0 {
-		ref, err := verilog.CompileSources(benchTop, p.Reference, h.bench)
+		ref, err := simfarm.Default().Compile(benchTop, p.Reference, h.bench)
 		if err != nil {
 			return nil, fmt.Errorf("xdebug: reference does not elaborate: %w", err)
 		}
