@@ -109,8 +109,8 @@ type loadReport struct {
 
 	// LatencyMS summarizes client-observed submit-to-terminal latency of
 	// done jobs (exact percentiles over the recorded samples, not
-	// histogram estimates). QueueWaitMS summarizes the server-reported
-	// per-job queue wait of the same jobs.
+	// histogram estimates). QueueWaitMS summarizes the same jobs'
+	// server-reported queue_wait phase.
 	LatencyMS   loadQuantiles `json:"latency_ms"`
 	QueueWaitMS loadQuantiles `json:"queue_wait_ms"`
 	// PhaseMeanMS is the mean per-job duration of each canonical phase
@@ -271,7 +271,7 @@ func runLoad(addr string, jobs, nClients, hotEvery, cancelEvery, sseEvery int, s
 						rep.Outcomes.Cached++
 					}
 					latencies = append(latencies, float64(lat)/1e6)
-					waits = append(waits, final.QueueWaitMS)
+					waits = append(waits, final.PhaseMS("queue_wait"))
 					for _, p := range final.Phases {
 						phaseSum[p.Phase] += p.MS
 					}

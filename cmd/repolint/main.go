@@ -10,8 +10,8 @@
 //     expression evaluation and value kernel — reflection-based fmt
 //     formatting there turns into per-event allocations. fmt.Errorf is
 //     allowed (error construction happens once, on failure exits), as
-//     are the named cold paths: the interpreter system-call/statement
-//     fallbacks and Format*/String/render*/dump*/disasm* helpers.
+//     are the named cold paths: renderDisplay and
+//     Format*/String/render*/dump*/disasm* helpers.
 //   - no-time: the kernel is deterministic by construction; wall-clock
 //     reads (any use of the time package) in kernel files would leak
 //     nondeterminism into simulation results or their caching.
@@ -63,7 +63,7 @@ var kernelFiles = map[string]bool{
 // path for fmt formatting.
 func coldFunc(name string) bool {
 	switch name {
-	case "execSysCall", "execFallback", "renderDisplay":
+	case "renderDisplay":
 		return true
 	}
 	for _, p := range []string{"Format", "String", "render", "dump", "disasm"} {

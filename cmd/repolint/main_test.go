@@ -50,6 +50,11 @@ func TestRulesFire(t *testing.T) {
 		{"probe-unguarded", "sim.go",
 			"package v\ntype S struct{ probe func(int) }\nfunc (s *S) commit() { s.probe(1) }\n",
 			"without an enclosing"},
+		// execSysCall is not a cold path: only renderDisplay and the
+		// prefixed helpers are.
+		{"fallback", "eval.go",
+			"package v\nimport \"fmt\"\nfunc execSysCall() { fmt.Fprintf(nil, \"x\") }\n",
+			"fmt.Fprintf on kernel hot path"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -69,8 +74,6 @@ func TestAllowlists(t *testing.T) {
 			"package v\nimport \"fmt\"\nfunc step() error { return fmt.Errorf(\"x\") }\n"},
 		{"cold-func", "value.go",
 			"package v\nimport \"fmt\"\nfunc FormatWords() string { return fmt.Sprintf(\"x\") }\n"},
-		{"fallback", "eval.go",
-			"package v\nimport \"fmt\"\nfunc execSysCall() { fmt.Fprintf(nil, \"x\") }\n"},
 		{"guarded-probe", "sim.go",
 			"package v\ntype S struct{ probe func(int) }\nfunc (s *S) commit() { if s.probe != nil { s.probe(1) } }\n"},
 		{"non-kernel", "parser.go",

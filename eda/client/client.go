@@ -41,12 +41,11 @@ type Job struct {
 	// EventsDropped counts events evicted from the job's server-side
 	// replay ring before any subscriber (or resume) could see them.
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// QueueWaitMS is how long the job sat queued before a worker popped
-	// it (zero for jobs answered from the report cache at submission).
-	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
 	// Phases is the server's span breakdown of the job: every canonical
 	// phase in flow order; N == 0 marks a phase that never ran (a cached
-	// hit reports sim at 0 ms with N 0).
+	// hit reports sim at 0 ms with N 0). PhaseMS("queue_wait") is how
+	// long the job sat queued before a worker popped it (zero for jobs
+	// answered from the report cache at submission).
 	Phases []Phase `json:"phases,omitempty"`
 	// Report is the raw shared-wire-format report ((*eda.Report).JSON)
 	// once the job produced one; DecodeReport types it.

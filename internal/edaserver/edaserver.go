@@ -290,7 +290,7 @@ func (s *Server) runJob(jb *job) {
 	jb.state = stateRunning
 	jb.mu.Unlock()
 	s.log.Debug("job started", "job", jb.id, "framework", jb.spec.Framework,
-		"queue_wait", jb.queueWait)
+		"queue_wait", jb.spans.Get(obs.PhaseQueueWait).Dur)
 
 	var wdStop chan struct{}
 	if s.opts.Watchdog > 0 {

@@ -33,16 +33,15 @@ type JobStatus struct {
 	// behind, can no longer read. Subscribers read from the ring, so this
 	// is all they can miss.
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// QueueWaitMS is the enqueue→worker-pop wait. Zero until the job is
-	// popped (and forever for a job answered from the report cache at
-	// submission, which never queues).
-	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
 	// Phases is the job's span breakdown: every canonical phase
 	// (queue_wait, lint_screen, compile, sim, store_write) plus any the
 	// pipeline added, in flow order. N counts recordings folded into a
 	// phase — 0 means the phase never ran (a cached hit reports sim with
 	// N == 0 and 0 ms, not a missing row); sim accumulates N recordings
-	// across candidate rounds.
+	// across candidate rounds. The queue_wait row is the job's
+	// enqueue→worker-pop wait, 0 ms with N == 0 until the job is popped
+	// (and forever for a job answered from the report cache at
+	// submission, which never queues).
 	Phases []PhaseStatus `json:"phases,omitempty"`
 
 	// Report must stay the last field: writeStatus encodes the other
@@ -174,7 +173,6 @@ func (jb *job) status() JobStatus {
 		Error:         jb.errDetail,
 		Created:       jb.created.Format("2006-01-02T15:04:05.000Z07:00"),
 		EventsDropped: jb.events.droppedCount(),
-		QueueWaitMS:   float64(jb.queueWait) / 1e6,
 		Phases:        phases,
 		Report:        jb.reportJSON,
 	}

@@ -52,7 +52,7 @@ func TestStatusBodiesMatchEncodingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := JobStatus{ID: "j00000007", State: stateRunning, Created: "2026-10-17T10:00:00.000Z",
-		QueueWaitMS: 0.125, Phases: []PhaseStatus{{Phase: "queue_wait", MS: 0.125, N: 1}, {Phase: "sim"}}}
+		Phases: []PhaseStatus{{Phase: "queue_wait", MS: 0.125, N: 1}, {Phase: "sim"}}}
 	with := func(mod func(*JobStatus)) JobStatus {
 		st := base
 		mod(&st)

@@ -41,10 +41,9 @@ type job struct {
 	cancel     func() // cancels the running job's context
 	// enqueued is when the job entered the queue, zero when it never
 	// queued (answered from the report cache at submission) or once its
-	// wait has ended; queueWait is that enqueue→worker-pop wait, fixed by
-	// endWaitLocked at the pop or when the job ends while still queued.
-	enqueued  time.Time
-	queueWait time.Duration
+	// wait has ended: endWaitLocked records the wait as the queue_wait
+	// span at the pop or when the job ends while still queued.
+	enqueued time.Time
 	// wedged marks that the watchdog cancelled this job for event
 	// staleness; set before the cancel so the worker can tell a watchdog
 	// kill (terminal failed) from a client cancel (terminal cancelled).
@@ -62,8 +61,7 @@ func (jb *job) endWaitLocked() {
 	if jb.enqueued.IsZero() {
 		return
 	}
-	jb.queueWait = time.Since(jb.enqueued)
-	jb.spans.Record(obs.PhaseQueueWait, jb.queueWait)
+	jb.spans.Record(obs.PhaseQueueWait, time.Since(jb.enqueued))
 	jb.enqueued = time.Time{}
 }
 

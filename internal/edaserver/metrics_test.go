@@ -243,8 +243,8 @@ func TestSpanBreakdownCompleteness(t *testing.T) {
 	if cph["sim"].N != 0 || cph["sim"].MS != 0 {
 		t.Errorf("cached job sim phase = %+v, want zero time and zero recordings", cph["sim"])
 	}
-	if cached.QueueWaitMS != 0 {
-		t.Errorf("cached-at-submit job queue_wait_ms = %v, want 0 (never queued)", cached.QueueWaitMS)
+	if qw := cph["queue_wait"]; qw.N != 0 || qw.MS != 0 {
+		t.Errorf("cached-at-submit job queue_wait phase = %+v, want zero time and zero recordings (never queued)", qw)
 	}
 
 	// The terminal SSE end frame carries the same breakdown.
@@ -299,8 +299,8 @@ func TestQueueWaitSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	if fin.QueueWaitMS < 40 {
-		t.Errorf("second job queue_wait_ms = %v, want >= 40 (sat behind the blocked worker)", fin.QueueWaitMS)
+	if qw := fin.PhaseMS("queue_wait"); qw < 40 {
+		t.Errorf("second job queue_wait phase = %v ms, want >= 40 (sat behind the blocked worker)", qw)
 	}
 	st, err := h.c.Stats(ctx)
 	if err != nil {

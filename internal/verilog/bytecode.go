@@ -20,11 +20,10 @@ import (
 // statement entry, exactly where the old runner charged a continuation
 // push), its evaluation and side-effect order (a $random inside an
 // untaken ternary branch still never draws), and its diagnostics
-// byte-for-byte. Constructs that are rare and semantically fiddly
-// (concat lvalues with dynamically-sized parts, $error/$fatal whose
-// argument failures are swallowed into a placeholder message) lower to
-// fallback opcodes that run the retained tree evaluator for that one
-// statement, so the VM never approximates.
+// byte-for-byte. Every statement and expression lowers to bytecode; the
+// shapes the subset rejects (a concat lvalue part without a constant
+// width, a malformed $display argument list) lower to an error op that
+// raises the diagnostic when the statement runs.
 
 // OpCode selects one VM instruction.
 type OpCode uint8
@@ -115,7 +114,7 @@ const (
 	opTernMid    // if slot B == 1 { pc = C } (then-value already in A)
 	opTernEnd    // regs[A] = slot B == 2 ? AllX(max widths of A, C) : regs[C]
 	opConcatZero // regs[A] = empty accumulator
-	opConcatAcc  // regs[A] = regs[A] << width(regs[B]) | regs[B]; fbExprs[C] diagnoses overflow
+	opConcatAcc  // regs[A] = regs[A] << width(regs[B]) | regs[B]; concats[C] diagnoses overflow
 	opRepCheck   // regs[A] (a replication count) must be fully known
 	opReplicate  // regs[A] = {regs[B]{regs[C]}}
 	opBitSel     // regs[A] = regs[A] bit-selected by regs[B]
@@ -147,10 +146,6 @@ const (
 	opDisplay // render disp[A] from registers into the sim output
 	opCheck   // $check(regs[A]) at Line
 	opCheckEq // $check_eq(regs[A], regs[B]) at Line
-
-	// -- exact-semantics fallbacks ---------------------------------------
-	opFallbackStmt // tree-execute fbStmts[A] (Assign or SysCall)
-	opFallbackExpr // regs[A] = tree-eval of fbExprs[B]
 )
 
 // Instr is one VM instruction. Operand meaning is per-opcode (see the
@@ -171,12 +166,13 @@ type dispSeg struct {
 	verb byte
 }
 
-// dispDesc is a fully compiled $display/$write/$strobe/$monitor call:
-// the format string was parsed once at lowering, so the runtime only
-// renders registers and copies literals.
+// dispDesc is a fully compiled $display/$write/$strobe/$monitor/$error/
+// $fatal call: the format string was parsed once at lowering, so the
+// runtime only renders registers and copies literals.
 type dispDesc struct {
 	segs  []dispSeg
 	noEOL bool // $write: no trailing newline
+	isErr bool // $error/$fatal: count a failure, prefix "ERROR at time T: "
 }
 
 // Program is the executable form of one process body or continuous
@@ -185,13 +181,14 @@ type dispDesc struct {
 // concurrent Simulators (and, via the bound-body memo, across designs
 // that bind a body identically).
 type Program struct {
-	code    []Instr
-	consts  []Value
-	errs    []error
-	sens    [][]resolvedSens
-	disp    []dispDesc
-	fbStmts []Stmt
-	fbExprs []Expr
+	code   []Instr
+	consts []Value
+	errs   []error
+	sens   [][]resolvedSens
+	disp   []dispDesc
+	// concats holds each lowered concatenation for opConcatAcc's
+	// over-64-bit diagnostic, which reports the full width.
+	concats []*Concat
 
 	// numRegs is the register-file size the program needs: the deepest
 	// expression-stack slot plus every persistent slot (repeat counters,
@@ -307,16 +304,10 @@ func lowerProcess(body Stmt, sc scope, d *Design, kind procKind, star bool, hasS
 
 // lowerContAssign lowers one continuous assignment (RHS evaluation plus
 // the wire-legality store) into a Program with no statement charges; the
-// simulator runs every compiled assign through vmRun. It returns nil only
-// for a concat lvalue with dynamically-sized parts, whose tree semantics
-// are cheaper to keep than to replicate; the simulator runs that assign
-// on the retained tree evaluator.
+// simulator runs every assign through vmRun.
 func lowerContAssign(ca *contAssign, d *Design) *Program {
 	lw := getLowerer(d, ca.scope, false)
 	defer putLowerer(lw)
-	if cc, ok := ca.lhs.(*Concat); ok && !lw.staticConcatLHS(cc) {
-		return nil
-	}
 	lw.expr(ca.rhs, 0)
 	lw.write(ca.lhs, 0, false, int32(ca.line))
 	lw.emit(opEnd, 0, 0, 0, 0, 0)
@@ -407,12 +398,6 @@ func (lw *lowerer) emitErrFinal(format string, args ...any) {
 	lw.emit(opError, 1, int32(len(lw.prog.errs)-1), 0, 0, lw.line)
 }
 
-// fallbackStmt emits an exact-semantics tree execution of one statement.
-func (lw *lowerer) fallbackStmt(st Stmt) {
-	lw.prog.fbStmts = append(lw.prog.fbStmts, st)
-	lw.emit(opFallbackStmt, int32(len(lw.prog.fbStmts)-1), 0, 0, 0, lw.line)
-}
-
 // --- statement lowering --------------------------------------------------
 
 // stmt lowers one statement. Every lowered statement begins with an
@@ -432,14 +417,6 @@ func (lw *lowerer) stmt(st Stmt) {
 	case *Assign:
 		lw.line = int32(n.Line)
 		lw.emit(opStep, 0, 0, 0, 0, lw.line)
-		// Concat lvalues with dynamically-sized parts re-evaluate their
-		// part widths twice in the tree kernel (lvalueWidth, then write);
-		// keep that exact — including the double side effects it implies —
-		// by running the whole statement through the tree path.
-		if cc, ok := n.LHS.(*Concat); ok && !lw.staticConcatLHS(cc) {
-			lw.fallbackStmt(n)
-			return
-		}
 		lw.expr(n.RHS, 0)
 		lw.write(n.LHS, 0, n.NonBlocking, lw.line)
 
@@ -644,39 +621,11 @@ func resolveSensIn(sc scope, items []SensItem) ([]resolvedSens, error) {
 
 // --- assignment lowering -------------------------------------------------
 
-// staticConcatLHS reports whether every part of a concat lvalue has a
-// compile-time-known width (signals, bit selects, memory words, constant
-// part selects, and nests of those).
-func (lw *lowerer) staticConcatLHS(cc *Concat) bool {
-	for _, p := range cc.Parts {
-		switch n := p.(type) {
-		case *boundRef:
-		case *Index:
-			if _, ok := n.X.(*boundRef); !ok {
-				return false
-			}
-		case *PartSelect:
-			if _, ok := n.X.(*boundRef); !ok {
-				return false
-			}
-			if _, _, ok := lw.constBounds(n); !ok {
-				return false
-			}
-		case *Concat:
-			if !lw.staticConcatLHS(n) {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// constBounds extracts compile-time part-select bounds.
+// constBounds extracts compile-time part-select bounds: literals,
+// parameters and operator trees over them (x[W-1:0]).
 func (lw *lowerer) constBounds(n *PartSelect) (msb, lsb int, ok bool) {
-	mv, ok1 := constOf(n.MSB)
-	lv, ok2 := constOf(n.LSB)
+	mv, ok1 := lw.foldConst(n.MSB)
+	lv, ok2 := lw.foldConst(n.LSB)
 	if !ok1 || !ok2 || !mv.IsFullyKnown() || !lv.IsFullyKnown() {
 		return 0, 0, false
 	}
@@ -766,14 +715,20 @@ func (lw *lowerer) write(lhs Expr, val int32, nonBlocking bool, line int32) {
 		lw.emit(pick(opStorePart, opStorePartNB), val, int32(sig.ID), val+1, val+2, line)
 
 	case *Concat:
-		// Static widths only (callers diverted dynamic shapes to the tree
-		// path): split regs[val] MSB-first and store each slice.
-		total, ok := lw.concatWidthStatic(n)
-		if !ok {
-			lw.emitErr("invalid lvalue %T", lhs)
+		// Split regs[val] MSB-first and store each slice; every part
+		// needs a width known at compile time.
+		total, bad := lw.concatWidthStatic(n)
+		if bad == nil {
+			lw.lowerConcatStores(n, val, total, nonBlocking, line)
 			return
 		}
-		lw.lowerConcatStores(n, val, total, nonBlocking, line)
+		if ps, ok := bad.(*PartSelect); ok {
+			if ref, ok := ps.X.(*boundRef); ok {
+				lw.emitErr("part-select of %q in a concatenation lvalue has non-constant bounds", lw.d.Signals[ref.sig].Name)
+				return
+			}
+		}
+		lw.write(bad, val, nonBlocking, line) // no signal target: write emits its diagnostic
 
 	default:
 		lw.emitErr("invalid assignment target %T", lhs)
@@ -807,47 +762,46 @@ func (lw *lowerer) checkLegal(sig *Signal) bool {
 	return true
 }
 
-// concatWidthStatic sums the static widths of a concat lvalue.
-func (lw *lowerer) concatWidthStatic(cc *Concat) (int, bool) {
+// concatWidthStatic sums the static widths of a concat lvalue. It also
+// returns the first (innermost) part without one, nil when every part
+// has one.
+func (lw *lowerer) concatWidthStatic(cc *Concat) (int, Expr) {
 	total := 0
 	for _, p := range cc.Parts {
-		w, ok := lw.partWidthStatic(p)
-		if !ok {
-			return 0, false
+		w, bad := lw.partWidthStatic(p)
+		if bad != nil {
+			return 0, bad
 		}
 		total += w
 	}
-	return total, true
+	return total, nil
 }
 
-// partWidthStatic is the static width of one concat-lvalue part.
-func (lw *lowerer) partWidthStatic(p Expr) (int, bool) {
+// partWidthStatic is the static width of one concat-lvalue part, or the
+// part itself when it has none.
+func (lw *lowerer) partWidthStatic(p Expr) (int, Expr) {
 	switch n := p.(type) {
 	case *boundRef:
-		return lw.d.Signals[n.sig].Width, true
+		return lw.d.Signals[n.sig].Width, nil
 	case *Index:
-		ref, ok := n.X.(*boundRef)
-		if !ok {
-			return 0, false
+		if ref, ok := n.X.(*boundRef); ok {
+			if sig := lw.d.Signals[ref.sig]; sig.Words > 1 {
+				return sig.Width, nil
+			}
+			return 1, nil
 		}
-		if sig := lw.d.Signals[ref.sig]; sig.Words > 1 {
-			return sig.Width, true
-		}
-		return 1, true
 	case *PartSelect:
-		msb, lsb, ok := lw.constBounds(n)
-		if !ok {
-			return 0, false
+		if msb, lsb, ok := lw.constBounds(n); ok {
+			return msb - lsb + 1, nil
 		}
-		return msb - lsb + 1, true
 	case *Concat:
 		return lw.concatWidthStatic(n)
 	}
-	return 0, false
+	return 0, p
 }
 
 // lowerConcatStores emits the MSB-first slice/store sequence for a
-// static concat lvalue.
+// concat lvalue whose part widths are all static.
 func (lw *lowerer) lowerConcatStores(cc *Concat, val int32, total int, nonBlocking bool, line int32) {
 	shift := total
 	for _, p := range cc.Parts {
@@ -870,17 +824,15 @@ func (lw *lowerer) lowerSysCall(n *SysCall) {
 	line := lw.line
 	lw.emit(opStep, 0, 0, 0, 0, line)
 	switch n.Name {
-	case "$display", "$write", "$strobe", "$monitor":
+	case "$display", "$write", "$strobe", "$monitor", "$error":
 		lw.lowerDisplay(n)
+
+	case "$fatal":
+		lw.lowerDisplay(n)
+		lw.emit(opFinish, 0, 0, 0, 0, line)
 
 	case "$finish", "$stop":
 		lw.emit(opFinish, 0, 0, 0, 0, line)
-
-	case "$error", "$fatal":
-		// Argument evaluation failures are swallowed into a placeholder
-		// message instead of killing the run; the tree path is the only
-		// executor with that error topology, so keep it.
-		lw.fallbackStmt(n)
 
 	case "$check_eq":
 		if len(n.Args) < 2 {
@@ -908,17 +860,18 @@ func (lw *lowerer) lowerSysCall(n *SysCall) {
 	}
 }
 
-// lowerDisplay compiles a $display-family call: arguments that verbs
+// lowerDisplay compiles a $display-family call ($error and $fatal
+// included; the caller ends the run after $fatal): arguments that verbs
 // consume are evaluated into consecutive registers in source order, the
 // format string is parsed once here, and a single opDisplay renders the
-// segment list at runtime. Calls whose format/argument pairing the tree
-// kernel would reject lower to the evaluations-then-error sequence it
+// segment list at runtime. A call whose format/argument pairing is
+// malformed lowers to the evaluations-then-error sequence the tree kernel
 // produced (registers evaluated up to the failing verb, then the exact
 // diagnostic); arguments no verb consumes are never evaluated, exactly
-// like the tree kernel's lazy nextVal.
+// like the tree kernel's lazy argument fetch.
 func (lw *lowerer) lowerDisplay(n *SysCall) {
 	line := lw.line
-	desc := dispDesc{noEOL: n.Name == "$write"}
+	desc := dispDesc{noEOL: n.Name == "$write", isErr: n.Name == "$error" || n.Name == "$fatal"}
 	lw.segScratch = lw.segScratch[:0]
 	emitDesc := func() {
 		if len(lw.segScratch) > 0 {
@@ -957,7 +910,7 @@ func (lw *lowerer) lowerDisplay(n *SysCall) {
 		return
 	}
 
-	// Format-string style: mirror formatString's scan exactly.
+	// Format-string style: the tree kernel's verb scan, exactly.
 	format := first.Text
 	args := n.Args[1:]
 	ai := 0
@@ -968,9 +921,9 @@ func (lw *lowerer) lowerDisplay(n *SysCall) {
 			lit = lit[:0]
 		}
 	}
-	// nextValReg mirrors nextVal: evaluate the next argument, or lower
-	// the exact runtime diagnostic when the pairing is invalid. ok=false
-	// means the statement already ended in an error op.
+	// nextValReg evaluates the next argument, or lowers the exact
+	// runtime diagnostic when the pairing is invalid; ok=false means the
+	// statement already ended in an error op.
 	nextValReg := func() (int32, bool) {
 		if ai >= len(args) {
 			lw.emitErr("format string %q has more verbs than arguments", format)
@@ -1088,8 +1041,8 @@ var constFusedOps = map[OpCode]OpCode{
 func (lw *lowerer) expr(ex Expr, dst int32) {
 	lw.use(dst)
 	// Constant folding: literal/parameter operator trees evaluate once,
-	// here — the new elaboration-time role of the tree evaluator's
-	// arithmetic. Folding never crosses constructs with runtime effects.
+	// here, with the applyUnary/applyBinary arithmetic every evaluator
+	// shares. Folding never crosses constructs with runtime effects.
 	if v, ok := lw.foldConst(ex); ok {
 		lw.emit(opConst, dst, lw.constant(v), 0, 0, lw.line)
 		return
@@ -1154,12 +1107,12 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		lw.code[mid].C = int32(lw.here())
 
 	case *Concat:
-		lw.prog.fbExprs = append(lw.prog.fbExprs, n)
-		fb := int32(len(lw.prog.fbExprs) - 1)
+		lw.prog.concats = append(lw.prog.concats, n)
+		cc := int32(len(lw.prog.concats) - 1)
 		lw.emit(opConcatZero, dst, 0, 0, 0, lw.line)
 		for _, p := range n.Parts {
 			lw.expr(p, dst+1)
-			lw.emit(opConcatAcc, dst, dst+1, fb, 0, lw.line)
+			lw.emit(opConcatAcc, dst, dst+1, cc, 0, lw.line)
 		}
 
 	case *Repeat:
@@ -1197,7 +1150,10 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 				lw.emitErr("bad part-select [%d:%d] at line %d", mv, lv, n.Line)
 				return
 			}
-			lw.emit(opPartSelK, dst, 0, int32(lv), int32(mv-lv+1), lw.line)
+			// An LSB past bit 63 selects zeros, as opPartSel's shift does;
+			// clamping keeps a huge LSB from wrapping in the int32 operand.
+			lsb := int32(min(uint64(lv), 64))
+			lw.emit(opPartSelK, dst, 0, lsb, int32(mv-lv+1), lw.line)
 			return
 		}
 		lw.expr(n.X, dst)
@@ -1221,12 +1177,6 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		default:
 			lw.emitErr("unsupported system function %s at line %d", n.Name, n.Line)
 		}
-
-	case scopedExpr:
-		// Binding dissolves these; defensively route any survivor through
-		// the tree evaluator, which handles the scope switch itself.
-		lw.prog.fbExprs = append(lw.prog.fbExprs, n)
-		lw.emit(opFallbackExpr, dst, int32(len(lw.prog.fbExprs)-1), 0, 0, lw.line)
 
 	default:
 		lw.emitErr("unsupported expression %T", ex)

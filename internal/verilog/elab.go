@@ -48,9 +48,7 @@ type contAssign struct {
 	reads []SignalID
 	line  int
 	// prog is the compiled evaluate-and-store program (bytecode.go) that
-	// every evaluation of the assign runs through vmRun; nil only for a
-	// concat lvalue with dynamically-sized parts, which stays on the tree
-	// evaluator.
+	// every evaluation of the assign runs through vmRun.
 	prog *Program
 }
 
@@ -142,9 +140,7 @@ func (d *Design) finalizeLayout() {
 	for i, ca := range d.assigns {
 		ca.prog = lowerContAssign(ca, d)
 		d.caRegOff[i] = int32(total)
-		if ca.prog != nil {
-			total += ca.prog.numRegs
-		}
+		total += ca.prog.numRegs
 	}
 	d.caRegOff[len(d.assigns)] = int32(total)
 	d.caRegTotal = total

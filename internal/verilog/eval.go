@@ -1,45 +1,15 @@
 package verilog
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
-// evaluator is the retained tree-walking expression evaluator. Since the
-// bytecode VM took over the hot path (bytecode.go, vm.go), it serves
-// three roles only: the executor behind the VM's exact-semantics
-// fallback opcodes (statements whose legacy error topology is not worth
-// encoding, like $error/$fatal), the continuous-assign path for lvalue
-// shapes too rare to lower, and the reference semantics the VM is
-// property-tested against (vm_prop_test.go).
+// evaluator is the tree-walking expression evaluator over bound
+// expressions. The bytecode VM (bytecode.go, vm.go) executes every
+// statement and expression; this evaluator is the reference semantics
+// the VM is property-tested against (vm_prop_test.go), and concatWidth
+// uses it to report the full width in the VM's concat-overflow
+// diagnostic. It executes no statements.
 type evaluator struct {
-	sim   *Simulator
-	scope scope
-}
-
-// resolveSignal resolves an identifier expression (possibly scope-wrapped)
-// to a signal, unwrapping port-connection scope switches.
-func (ev *evaluator) resolveSignal(ex Expr) (*Signal, scope, error) {
-	switch n := ex.(type) {
-	case *boundRef:
-		return ev.sim.design.Signals[n.sig], ev.scope, nil
-	case *boundParam:
-		return nil, nil, fmt.Errorf("%q is a parameter, not a signal", n.name)
-	case *Ident:
-		ent, ok := ev.scope[n.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown identifier %q", n.Name)
-		}
-		if ent.isParam {
-			return nil, nil, fmt.Errorf("%q is a parameter, not a signal", n.Name)
-		}
-		return ev.sim.design.Signals[ent.sig], ev.scope, nil
-	case scopedExpr:
-		sub := &evaluator{sim: ev.sim, scope: n.Scope}
-		return sub.resolveSignal(n.Expr)
-	default:
-		return nil, nil, fmt.Errorf("expected signal reference, got %T", ex)
-	}
+	sim *Simulator
 }
 
 // eval computes the value of an expression.
@@ -59,22 +29,8 @@ func (ev *evaluator) eval(ex Expr) (Value, error) {
 		return n.val, nil
 
 	case *Ident:
-		ent, ok := ev.scope[n.Name]
-		if !ok {
-			return Value{}, fmt.Errorf("unknown identifier %q at line %d", n.Name, n.Line)
-		}
-		if ent.isParam {
-			return ent.param, nil
-		}
-		sig := ev.sim.design.Signals[ent.sig]
-		if sig.Words > 1 {
-			return Value{}, fmt.Errorf("memory %q used without an index at line %d", n.Name, n.Line)
-		}
-		return ev.sim.val(ent.sig), nil
-
-	case scopedExpr:
-		sub := &evaluator{sim: ev.sim, scope: n.Scope}
-		return sub.eval(n.Expr)
+		// Binding left it unresolved.
+		return Value{}, fmt.Errorf("unknown identifier %q at line %d", n.Name, n.Line)
 
 	case *StringLit:
 		return Value{}, fmt.Errorf("string literal %q used in value context", n.Text)
@@ -168,7 +124,8 @@ func (ev *evaluator) eval(ex Expr) (Value, error) {
 
 	case *Index:
 		// Memory word read?
-		if sig, _, err := ev.resolveSignal(n.X); err == nil && sig.Words > 1 {
+		if ref, ok := n.X.(*boundRef); ok && ev.sim.design.Signals[ref.sig].Words > 1 {
+			sig := ev.sim.design.Signals[ref.sig]
 			idx, err := ev.eval(n.Idx)
 			if err != nil {
 				return Value{}, err
@@ -258,425 +215,6 @@ func (ev *evaluator) eval(ex Expr) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("unsupported expression %T", ex)
 	}
-}
-
-// lvalueWidth returns the bit width an lvalue expression covers.
-func (ev *evaluator) lvalueWidth(lhs Expr) (int, error) {
-	switch n := lhs.(type) {
-	case *Ident, scopedExpr, *boundRef, *boundParam:
-		sig, _, err := ev.resolveSignal(n)
-		if err != nil {
-			return 0, err
-		}
-		return sig.Width, nil
-	case *Index:
-		if sig, _, err := ev.resolveSignal(n.X); err == nil && sig.Words > 1 {
-			return sig.Width, nil
-		}
-		return 1, nil
-	case *PartSelect:
-		msbV, err := ev.eval(n.MSB)
-		if err != nil {
-			return 0, err
-		}
-		lsbV, err := ev.eval(n.LSB)
-		if err != nil {
-			return 0, err
-		}
-		return int(msbV.Uint()) - int(lsbV.Uint()) + 1, nil
-	case *Concat:
-		total := 0
-		for _, p := range n.Parts {
-			w, err := ev.lvalueWidth(p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		return total, nil
-	default:
-		return 0, fmt.Errorf("invalid lvalue %T", lhs)
-	}
-}
-
-// writeLValue stores v into the lvalue. procedural selects the
-// reg-only legality rule; nonBlocking defers the commit to the NBA region.
-func (ev *evaluator) writeLValue(lhs Expr, v Value, procedural bool, _ []SignalID) error {
-	return ev.write(lhs, v, procedural, false)
-}
-
-func (ev *evaluator) write(lhs Expr, v Value, procedural, nonBlocking bool) error {
-	switch n := lhs.(type) {
-	case scopedExpr:
-		sub := &evaluator{sim: ev.sim, scope: n.Scope}
-		return sub.write(n.Expr, v, procedural, nonBlocking)
-
-	case *Ident, *boundRef, *boundParam:
-		sig, _, err := ev.resolveSignal(n)
-		if err != nil {
-			return err
-		}
-		if err := checkWriteLegality(sig, procedural); err != nil {
-			return err
-		}
-		if sig.Words > 1 {
-			return fmt.Errorf("memory %q assigned without an index", sig.Name)
-		}
-		ev.commit(sig, 0, maskFor(sig.Width), v.Resize(sig.Width), nonBlocking)
-		return nil
-
-	case *Index:
-		sig, outerScope, err := ev.resolveSignal(n.X)
-		if err != nil {
-			return err
-		}
-		if err := checkWriteLegality(sig, procedural); err != nil {
-			return err
-		}
-		idxEv := ev
-		if _, ok := n.X.(scopedExpr); ok {
-			idxEv = &evaluator{sim: ev.sim, scope: outerScope}
-		}
-		idx, err := idxEv.eval(n.Idx)
-		if err != nil {
-			return err
-		}
-		if !idx.IsFullyKnown() {
-			return nil // write to unknown index: dropped
-		}
-		i := int(idx.Uint())
-		if sig.Words > 1 {
-			ev.commit(sig, i, maskFor(sig.Width), v.Resize(sig.Width), nonBlocking)
-			return nil
-		}
-		if i < 0 || i >= sig.Width {
-			return nil
-		}
-		shifted := Value{Bits: (v.Bits & 1) << uint(i), Unknown: (v.Unknown & 1) << uint(i), Width: sig.Width}
-		ev.commit(sig, 0, uint64(1)<<uint(i), shifted, nonBlocking)
-		return nil
-
-	case *PartSelect:
-		sig, _, err := ev.resolveSignal(n.X)
-		if err != nil {
-			return err
-		}
-		if err := checkWriteLegality(sig, procedural); err != nil {
-			return err
-		}
-		msbV, err := ev.eval(n.MSB)
-		if err != nil {
-			return err
-		}
-		lsbV, err := ev.eval(n.LSB)
-		if err != nil {
-			return err
-		}
-		msb, lsb := int(msbV.Uint()), int(lsbV.Uint())
-		if msb < lsb || lsb < 0 || msb >= sig.Width {
-			return fmt.Errorf("part-select [%d:%d] out of range for %q", msb, lsb, sig.Name)
-		}
-		w := msb - lsb + 1
-		mask := maskFor(w) << uint(lsb)
-		shifted := Value{
-			Bits:    (v.Bits & maskFor(w)) << uint(lsb),
-			Unknown: (v.Unknown & maskFor(w)) << uint(lsb),
-			Width:   sig.Width,
-		}
-		ev.commit(sig, 0, mask, shifted, nonBlocking)
-		return nil
-
-	case *Concat:
-		// Split v across the parts, MSB-first.
-		total, err := ev.lvalueWidth(n)
-		if err != nil {
-			return err
-		}
-		shift := total
-		for _, p := range n.Parts {
-			w, err := ev.lvalueWidth(p)
-			if err != nil {
-				return err
-			}
-			shift -= w
-			slice := Value{
-				Bits:    (v.Bits >> uint(shift)) & maskFor(w),
-				Unknown: (v.Unknown >> uint(shift)) & maskFor(w),
-				Width:   w,
-			}
-			if err := ev.write(p, slice, procedural, nonBlocking); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("invalid assignment target %T", lhs)
-	}
-}
-
-// checkWriteLegality enforces the reg/wire assignment rules: procedural
-// code writes regs, continuous assigns drive wires.
-func checkWriteLegality(sig *Signal, procedural bool) error {
-	if procedural && !sig.IsReg {
-		return fmt.Errorf("procedural assignment to wire %q (declare it reg)", sig.Name)
-	}
-	if !procedural && sig.IsReg {
-		return fmt.Errorf("continuous assignment to reg %q (declare it wire)", sig.Name)
-	}
-	return nil
-}
-
-// commit routes a masked write either immediately or to the NBA region.
-func (ev *evaluator) commit(sig *Signal, word int, mask uint64, v Value, nonBlocking bool) {
-	if nonBlocking {
-		ev.sim.nba = append(ev.sim.nba, nbaUpdate{sig: sig.ID, word: word, mask: mask, value: v, line: ev.sim.probeLine})
-		return
-	}
-	ev.sim.commitWrite(sig.ID, word, mask, v)
-}
-
-// --- statement execution (runner side) ----------------------------------
-//
-// Statement control flow lives in interp.go: the runner is an explicit
-// resumable interpreter over Stmt, so delays and event waits suspend by
-// recording a continuation frame instead of parking a goroutine. The
-// helpers below are the leaf executions it shares: system tasks and
-// $display formatting, which never suspend.
-
-// caseMatch compares a case subject with one label; casez treats unknown
-// label bits as wildcards.
-func caseMatch(subj, label Value, casez bool) bool {
-	w := max(subj.Width, label.Width)
-	s, l := subj.Resize(w), label.Resize(w)
-	if casez {
-		care := ^l.Unknown & maskFor(w)
-		return (s.Bits^l.Bits)&care&^s.Unknown == 0 && s.Unknown&care == 0
-	}
-	return s.Equal(l)
-}
-
-const maxSimOutput = 1 << 20
-
-// execSysCall dispatches system tasks.
-func (r *runner) execSysCall(n *SysCall) error {
-	ev := &r.ev
-	s := r.sim
-	switch n.Name {
-	case "$display", "$write", "$strobe", "$monitor":
-		text, err := r.formatCall(n)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		if s.out.Len() < maxSimOutput {
-			s.out.Write(text)
-			if n.Name != "$write" {
-				s.out.WriteByte('\n')
-			}
-		}
-		return nil
-
-	case "$finish", "$stop":
-		return errFinish
-
-	case "$error", "$fatal":
-		s.failures++
-		text, err := r.formatCall(n)
-		if err != nil {
-			text = []byte("(unformattable $error message)")
-		}
-		if s.out.Len() < maxSimOutput {
-			fmt.Fprintf(&s.out, "ERROR at time %d: %s\n", s.now, text)
-		}
-		if n.Name == "$fatal" {
-			return errFinish
-		}
-		return nil
-
-	case "$check_eq":
-		if len(n.Args) < 2 {
-			return fmt.Errorf("line %d: $check_eq needs (actual, expected)", n.Line)
-		}
-		a, err := ev.eval(n.Args[0])
-		if err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		b, err := ev.eval(n.Args[1])
-		if err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		s.checks++
-		w := max(a.Width, b.Width)
-		if !a.Resize(w).Equal(b.Resize(w)) {
-			s.failures++
-			if s.out.Len() < maxSimOutput {
-				fmt.Fprintf(&s.out, "CHECK FAILED at time %d (line %d): got %s, want %s\n",
-					s.now, n.Line, a.Resize(w), b.Resize(w))
-			}
-		}
-		return nil
-
-	case "$check":
-		if len(n.Args) < 1 {
-			return fmt.Errorf("line %d: $check needs a condition", n.Line)
-		}
-		c, err := ev.eval(n.Args[0])
-		if err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		s.checks++
-		if !c.IsTrue() {
-			s.failures++
-			if s.out.Len() < maxSimOutput {
-				fmt.Fprintf(&s.out, "CHECK FAILED at time %d (line %d)\n", s.now, n.Line)
-			}
-		}
-		return nil
-
-	case "$dumpfile", "$dumpvars", "$timeformat", "$readmemh", "$readmemb":
-		return nil // accepted and ignored by the subset
-
-	default:
-		return fmt.Errorf("line %d: unsupported system task %s", n.Line, n.Name)
-	}
-}
-
-// formatCall renders $display-style arguments into the runner's scratch
-// buffer; the returned slice is only valid until the next format call.
-func (r *runner) formatCall(n *SysCall) ([]byte, error) {
-	// No args: empty line.
-	if len(n.Args) == 0 {
-		return nil, nil
-	}
-	// Format-string style if the first arg is a string literal. Delegate
-	// before claiming the scratch buffer: formatString grows the same
-	// scratch, and restoring our stale pre-growth slice here would throw
-	// away its larger backing array on every call.
-	if first, ok := n.Args[0].(*StringLit); ok {
-		return r.formatString(first.Text, n.Args[1:])
-	}
-	ev := &r.ev
-	b := r.scratch[:0]
-	defer func() { r.scratch = b[:0] }()
-	// Otherwise: space-separated decimal values.
-	for i, a := range n.Args {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if sl, ok := a.(*StringLit); ok {
-			b = append(b, sl.Text...)
-			continue
-		}
-		v, err := ev.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		b = appendRadix(b, v, 'd')
-	}
-	return b, nil
-}
-
-// formatString implements the $display verb subset: %d %h %x %b %o %s %c
-// %t %0d %m and %%. Output goes to the runner's scratch buffer; the
-// returned slice is only valid until the next format call.
-func (r *runner) formatString(format string, args []Expr) ([]byte, error) {
-	ev := &r.ev
-	b := r.scratch[:0]
-	defer func() { r.scratch = b[:0] }()
-	ai := 0
-	nextVal := func() (Value, error) {
-		if ai >= len(args) {
-			return Value{}, fmt.Errorf("format string %q has more verbs than arguments", format)
-		}
-		a := args[ai]
-		ai++
-		if _, ok := a.(*StringLit); ok {
-			return Value{}, fmt.Errorf("string argument where value expected in %q", format)
-		}
-		return ev.eval(a)
-	}
-	for i := 0; i < len(format); i++ {
-		c := format[i]
-		if c != '%' {
-			b = append(b, c)
-			continue
-		}
-		i++
-		if i >= len(format) {
-			b = append(b, '%')
-			break
-		}
-		// Skip width/zero flags: %0d, %2d ...
-		for i < len(format) && format[i] >= '0' && format[i] <= '9' {
-			i++
-		}
-		if i >= len(format) {
-			break
-		}
-		switch format[i] {
-		case '%':
-			b = append(b, '%')
-		case 'd', 'D':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = appendRadix(b, v, 'd')
-		case 'h', 'H', 'x', 'X':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = appendRadix(b, v, 'h')
-		case 'b', 'B':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = appendRadix(b, v, 'b')
-		case 'o', 'O':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			if v.IsFullyKnown() {
-				b = strconv.AppendUint(b, v.Uint(), 8)
-			} else {
-				b = append(b, 'x')
-			}
-		case 't', 'T':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = appendRadix(b, v, 'd')
-		case 'c':
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, byte(v.Uint()))
-		case 's':
-			if ai < len(args) {
-				if sl, ok := args[ai].(*StringLit); ok {
-					ai++
-					b = append(b, sl.Text...)
-					break
-				}
-			}
-			v, err := nextVal()
-			if err != nil {
-				return nil, err
-			}
-			b = appendRadix(b, v, 'd')
-		case 'm':
-			b = append(b, r.proc.name...)
-		default:
-			b = append(b, '%')
-			b = append(b, format[i])
-		}
-	}
-	return b, nil
 }
 
 // concatWidth sums a concatenation's part widths for the over-64

@@ -1,9 +1,6 @@
 package verilog
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // This file is the process engine. PR 3 made each process an explicit
 // resumable interpreter over the bound AST (a continuation stack of
@@ -28,10 +25,8 @@ const (
 
 // runner executes one behavioral process on the VM.
 type runner struct {
-	sim   *Simulator
-	proc  *process
-	scope scope
-	ev    evaluator // retained tree evaluator, used by fallback opcodes
+	sim  *Simulator
+	proc *process
 
 	prog *Program
 	regs []Value // register file: a slice of the simulator's pooled slab
@@ -70,7 +65,7 @@ func (r *runner) activate() (procStatus, error) {
 		r.sens = sens
 		return 0, nil // @* runs once at activation
 	case len(pr.sens) > 0:
-		sens, err := resolveSensIn(r.scope, pr.sens)
+		sens, err := resolveSensIn(pr.scope, pr.sens)
 		if err != nil {
 			return 0, err
 		}
@@ -97,31 +92,23 @@ func (r *runner) resume() (procStatus, error) {
 		r.started = true
 		st, err := r.activate()
 		if err != nil {
-			return r.classify(err)
+			return procErrored, err
 		}
 		if st == procSuspended {
 			return procSuspended, nil
 		}
 	}
-	status, err := vmRun(r.sim, r.prog, r.regs, r, &r.ev, r.pc)
+	status, err := vmRun(r.sim, r.prog, r.regs, r, r.pc)
 	switch status {
 	case vmSuspend:
 		return procSuspended, nil
 	case vmFinish:
 		return procFinished, nil
 	case vmErr:
-		return r.classify(err)
+		return procErrored, err
 	default: // vmEnd: only initial bodies run off the end of their program
 		return procEnded, nil
 	}
-}
-
-// classify maps interpreter errors to scheduler-visible outcomes.
-func (r *runner) classify(err error) (procStatus, error) {
-	if errors.Is(err, errFinish) {
-		return procFinished, nil
-	}
-	return procErrored, err
 }
 
 // watcherSweepMin is the smallest watcher-list length that triggers an

@@ -136,9 +136,6 @@ func (o *simOutput) take() string {
 	return s
 }
 
-// errFinish unwinds statement execution after $finish.
-var errFinish = errors.New("verilog: finish requested")
-
 // errBudget unwinds statement execution when MaxSteps is exhausted.
 var errBudget = errors.New("verilog: statement budget exhausted")
 
@@ -341,8 +338,7 @@ func (s *Simulator) Run() (*SimResult, error) {
 	s.active = make([]*runner, 0, 2*len(runners))
 	for i, pr := range s.design.procs {
 		r := &runners[i]
-		r.sim, r.proc, r.scope = s, pr, pr.scope
-		r.ev = evaluator{sim: s, scope: pr.scope}
+		r.sim, r.proc = s, pr
 		r.prog = pr.prog
 		r.regs = s.procRegs[s.design.procRegOff[i]:s.design.procRegOff[i+1]]
 		r.watch.r = r
@@ -649,57 +645,35 @@ func (s *Simulator) wakeWatchers(c changeRec) {
 }
 
 // evalContAssign recomputes one continuous assignment and writes its
-// LHS. Compiled assigns run their evaluate-and-store program through
-// vmRun on the pooled scratch slab; the one uncompiled lvalue shape
-// (a concat with dynamically-sized parts) keeps the tree evaluator
-// (identical semantics, just slower).
+// LHS: its evaluate-and-store program runs through vmRun on the pooled
+// scratch slab.
 func (s *Simulator) evalContAssign(idx int) {
 	ca := s.design.assigns[idx]
 	if s.probe != nil {
-		// Attribute every commit of this evaluation — compiled program
-		// and tree fallback alike — to the assign's source line. (Store
-		// opcodes re-set the line, to the same value, from their own
-		// debug info.)
+		// Attribute every commit of this evaluation to the assign's
+		// source line. (Store opcodes re-set the line, to the same value,
+		// from their own debug info.)
 		s.probeLine = int32(ca.line)
 	}
-	if prog := ca.prog; prog != nil {
-		regs := s.caRegs[s.design.caRegOff[idx]:s.design.caRegOff[idx+1]]
-		nested := s.caBusy[idx]
-		if nested {
-			// Re-entered while mid-program: a multi-store assign whose
-			// own first store's propagation wave (only possible outside a
-			// flush, i.e. the t=0 evaluation) re-evaluates the same
-			// assign. The outer frame's registers are still live, so the
-			// nested run gets fresh ones — the per-entry locals the tree
-			// kernel had, preserved exactly.
-			regs = make([]Value, prog.numRegs)
-		} else {
-			s.caBusy[idx] = true
-		}
-		ev := evaluator{sim: s, scope: ca.scope}
-		_, err := vmRun(s, prog, regs, nil, &ev, 0)
-		if !nested {
-			s.caBusy[idx] = false
-		}
-		if err != nil {
-			if s.rtErr == nil {
-				s.rtErr = fmt.Errorf("continuous assign at line %d: %w", ca.line, err)
-			}
-		}
-		return
+	regs := s.caRegs[s.design.caRegOff[idx]:s.design.caRegOff[idx+1]]
+	nested := s.caBusy[idx]
+	if nested {
+		// Re-entered while mid-program: a multi-store assign whose own
+		// first store's propagation wave (only possible outside a flush,
+		// i.e. the t=0 evaluation) re-evaluates the same assign. The
+		// outer frame's registers are still live, so the nested run gets
+		// fresh ones — the per-entry locals the tree kernel had,
+		// preserved exactly.
+		regs = make([]Value, ca.prog.numRegs)
+	} else {
+		s.caBusy[idx] = true
 	}
-	ev := &evaluator{sim: s, scope: ca.scope}
-	rhs, err := ev.eval(ca.rhs)
-	if err != nil {
-		if s.rtErr == nil {
-			s.rtErr = fmt.Errorf("continuous assign at line %d: %w", ca.line, err)
-		}
-		return
+	_, err := vmRun(s, ca.prog, regs, nil, 0)
+	if !nested {
+		s.caBusy[idx] = false
 	}
-	if err := ev.writeLValue(ca.lhs, rhs, false, nil); err != nil {
-		if s.rtErr == nil {
-			s.rtErr = fmt.Errorf("continuous assign at line %d: %w", ca.line, err)
-		}
+	if err != nil && s.rtErr == nil {
+		s.rtErr = fmt.Errorf("continuous assign at line %d: %w", ca.line, err)
 	}
 }
 

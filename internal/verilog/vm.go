@@ -33,14 +33,14 @@ const (
 )
 
 // vmRun executes prog from pc until it ends, suspends, finishes, or
-// fails. r is nil for continuous-assign programs (which never contain
-// process-only opcodes); ev is the tree evaluator used by fallback
-// opcodes and overflow diagnostics. Errors from a process context are
+// fails; it is the one executor of every process body and continuous
+// assignment. r is nil for continuous-assign programs (which never
+// contain process-only opcodes). Errors from a process context are
 // wrapped with the raising instruction's statement line exactly like the
 // tree kernel wrapped statement execution; final diagnostics (already
 // positioned) and continuous-assign errors pass through raw for the
 // caller to wrap.
-func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, pc int) (vmStatus, error) {
+func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, pc int) (vmStatus, error) {
 	code := prog.code
 	maxSteps := s.opts.MaxSteps
 	fail := func(ins *Instr, err error) (vmStatus, error) {
@@ -474,8 +474,8 @@ func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, 
 			v := regs[ins.B]
 			out := regs[ins.A]
 			if out.Width+v.Width > 64 {
-				cc := prog.fbExprs[ins.C].(*Concat)
-				return fail(ins, fmt.Errorf("verilog: concatenation width %d exceeds 64", concatWidth(ev, cc)))
+				w := concatWidth(&evaluator{sim: s}, prog.concats[ins.C])
+				return fail(ins, fmt.Errorf("verilog: concatenation width %d exceeds 64", w))
 			}
 			m := maskFor(v.Width)
 			out.Bits = out.Bits<<uint(v.Width) | v.Bits&m
@@ -738,25 +738,25 @@ func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, 
 			}
 			pc++
 
-		// --- fallbacks --------------------------------------------------
-		case opFallbackStmt:
-			if err := r.execFallback(prog.fbStmts[ins.A]); err != nil {
-				return vmErr, err // already positioned (or errFinish)
-			}
-			pc++
-
-		case opFallbackExpr:
-			v, err := ev.eval(prog.fbExprs[ins.B])
-			if err != nil {
-				return fail(ins, err)
-			}
-			regs[ins.A] = v
-			pc++
-
 		default:
 			return vmErr, fmt.Errorf("verilog: corrupt bytecode at pc %d (op %d)", pc, ins.Op)
 		}
 	}
+}
+
+// maxSimOutput caps a run's printed output; later prints are dropped.
+const maxSimOutput = 1 << 20
+
+// caseMatch compares a case subject with one label; casez treats unknown
+// label bits as wildcards.
+func caseMatch(subj, label Value, casez bool) bool {
+	w := max(subj.Width, label.Width)
+	s, l := subj.Resize(w), label.Resize(w)
+	if casez {
+		care := ^l.Unknown & maskFor(w)
+		return (s.Bits^l.Bits)&care&^s.Unknown == 0 && s.Unknown&care == 0
+	}
+	return s.Equal(l)
 }
 
 // appendCheckFailed appends the shared "CHECK FAILED at time T (line L)"
@@ -773,9 +773,16 @@ func appendCheckFailed(b []byte, now uint64, line int32) []byte {
 
 // renderDisplay renders a compiled $display into the simulator output,
 // reusing the runner's scratch buffer so steady-state printing never
-// allocates.
+// allocates. An $error/$fatal also counts a failure, output cap or not.
 func (r *runner) renderDisplay(d *dispDesc, regs []Value) {
+	s := r.sim
 	b := r.scratch[:0]
+	if d.isErr {
+		s.failures++
+		b = append(b, "ERROR at time "...)
+		b = strconv.AppendUint(b, s.now, 10)
+		b = append(b, ": "...)
+	}
 	for i := range d.segs {
 		seg := &d.segs[i]
 		switch {
@@ -799,7 +806,6 @@ func (r *runner) renderDisplay(d *dispDesc, regs []Value) {
 			b = append(b, seg.lit...)
 		}
 	}
-	s := r.sim
 	if s.out.Len() < maxSimOutput {
 		s.out.Write(b)
 		if !d.noEOL {
@@ -807,28 +813,4 @@ func (r *runner) renderDisplay(d *dispDesc, regs []Value) {
 		}
 	}
 	r.scratch = b[:0]
-}
-
-// execFallback tree-executes one statement with the exact semantics the
-// old kernel had; used for the rare shapes the lowering does not encode.
-// Returned errors are fully positioned (or are errFinish).
-func (r *runner) execFallback(st Stmt) error {
-	switch n := st.(type) {
-	case *Assign:
-		if s := r.sim; s.probe != nil {
-			s.probeLine = int32(n.Line)
-		}
-		rhs, err := r.ev.eval(n.RHS)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		if err := r.ev.write(n.LHS, rhs, true, n.NonBlocking); err != nil {
-			return fmt.Errorf("line %d: %w", n.Line, err)
-		}
-		return nil
-	case *SysCall:
-		return r.execSysCall(n)
-	default:
-		return fmt.Errorf("unsupported statement %T", st)
-	}
 }

@@ -161,7 +161,7 @@ func (g *exprGen) gen(depth int) Expr {
 // code the VM ran.
 func evalBoth(t *testing.T, s *Simulator, ex Expr) (treeV Value, treeErr error, vmV Value, vmErr error, code []Instr) {
 	t.Helper()
-	ev := evaluator{sim: s, scope: nil}
+	ev := evaluator{sim: s}
 
 	rng := s.rngState
 	treeV, treeErr = ev.eval(ex)
@@ -175,7 +175,7 @@ func evalBoth(t *testing.T, s *Simulator, ex Expr) (treeV Value, treeErr error, 
 
 	s.rngState = rng // both sides see the same $random stream
 	regs := make([]Value, prog.numRegs)
-	_, vmErr = vmRun(s, prog, regs, nil, &ev, 0)
+	_, vmErr = vmRun(s, prog, regs, nil, 0)
 	if vmErr == nil && prog.numRegs > 0 {
 		vmV = regs[0]
 	}
@@ -230,6 +230,34 @@ func TestVMMatchesTreeEvaluatorOnRandomExprs(t *testing.T) {
 	for op := opNot; op <= opGeK; op++ {
 		if compared[op] == 0 {
 			t.Errorf("value opcode %d never compared: no error-free tree lowered to it (compared: %v)", op, compared)
+		}
+	}
+}
+
+// TestVMMatchesTreeEvaluatorOnFoldedPartSelects covers constant
+// part-select bounds the random trees do not draw: operator trees over
+// literals, which the lowering folds into opPartSelK like literal bounds,
+// and LSBs past bit 63, up to values that do not fit the int32 operand,
+// which select zeros.
+func TestVMMatchesTreeEvaluatorOnFoldedPartSelects(t *testing.T) {
+	d := propDesign(t)
+	g := &exprGen{d: d}
+	num := func(v uint64) Expr { return &Number{Val: NewValue(v, 64)} }
+	for i, b := range []struct{ msb, lsb Expr }{
+		{&Binary{Op: "-", X: num(8), Y: num(1)}, &Binary{Op: "*", X: num(2), Y: num(2)}},
+		{num(70), num(64)},
+		{num(1<<32 + 3), num(1 << 32)},
+		{num(1<<63 + 1), num(1 << 63)},
+	} {
+		s := NewSimulator(d, SimOptions{})
+		s.words(g.ref("s64").sig)[0] = NewValue(^uint64(0), 64)
+		ex := &PartSelect{X: g.ref("s64"), MSB: b.msb, LSB: b.lsb, Line: 1}
+		treeV, treeErr, vmV, vmErr, code := evalBoth(t, s, ex)
+		if treeErr != nil || vmErr != nil || treeV != vmV {
+			t.Errorf("case %d: tree %s (%v), vm %s (%v)", i, treeV, treeErr, vmV, vmErr)
+		}
+		if code[len(code)-2].Op != opPartSelK {
+			t.Errorf("case %d: bounds did not fold into opPartSelK: %v", i, code)
 		}
 	}
 }
