@@ -49,15 +49,18 @@ golden:
 # Fuzz each target for a few seconds: the §V scoring path (C parser,
 # compiler, processor model) with arbitrary C text (FuzzScore in
 # internal/slt), the SSE replay ring's resume cursor against a plain
-# slice (FuzzBroadcasterCursor in internal/edaserver), and the farm's
+# slice (FuzzBroadcasterCursor in internal/edaserver), the farm's
 # cache probe against a map plus a recency slice (FuzzLRU in
-# internal/simfarm). A failing input lands in the package's
+# internal/simfarm), and the C interpreter on arbitrary C text, each
+# function run serially and concurrently over one shared Program
+# (FuzzCInterp in internal/chdl). A failing input lands in the package's
 # testdata/fuzz/<target>; commit it with the fix, and plain `go test`
 # replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScore$$' -fuzztime 5s ./internal/slt
 	$(GO) test -run '^$$' -fuzz '^FuzzBroadcasterCursor$$' -fuzztime 5s ./internal/edaserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s ./internal/simfarm
+	$(GO) test -run '^$$' -fuzz '^FuzzCInterp$$' -fuzztime 5s ./internal/chdl
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks
@@ -66,14 +69,16 @@ fuzz-smoke:
 # cross-level debugger (its cosimulation fan-out runs on the farm), and
 # the job service (its queue, SSE broadcasters and the report store
 # all cross goroutines), the lint layer (its memo is shared by every
-# screened farm job), and the benchmark suite (one set of problems and
-# testbench memos serves every job). The chaos storm runs on its own
+# screened farm job), the benchmark suite (one set of problems and
+# testbench memos serves every job), and the C interpreter with the
+# packages that run it on farm-cached Programs (concurrent workers share
+# one Program and its lazily built layout). The chaos storm runs on its own
 # after the sweep, still under -race: its 200 ms watchdog assumes the
 # CPU is not shared with every other race-built package at once, and on
 # a 2-vCPU host the parallel sweep starved it into spurious watchdog
 # kills.
 test-race:
-	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls ./internal/benchset
+	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls ./internal/benchset ./internal/chdl ./internal/hlstest ./internal/repair
 	$(GO) test -race -short -run '^TestChaosSurvival$$' ./internal/edaserver
 
 # Regenerate every paper artifact at quick scale.

@@ -12,7 +12,10 @@
 // (#pragma HLS ...) are parsed and attached to the AST.
 package chdl
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // TypeKind enumerates the subset's type constructors.
 type TypeKind int
@@ -124,6 +127,12 @@ type Program struct {
 	Pragmas []*Pragma
 	// Source preserves the original text for diagnostics and repair.
 	Source string
+
+	// layout is the resolved form the interpreter runs, built on the
+	// first NewInterp. A Program that has run is read-only: its layout
+	// does not follow later edits of the tree.
+	layoutOnce sync.Once
+	layout     *layout
 }
 
 // FindFunc returns the function with the given name, or nil.

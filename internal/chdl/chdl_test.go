@@ -197,6 +197,36 @@ func TestStepLimitStopsInfiniteLoop(t *testing.T) {
 	}
 }
 
+// TestStepLimitNamesExpressionLine: a budget that runs out inside an
+// expression names the expression's line. Each iteration of the loop
+// below takes 13 steps: the while statement and its condition on line
+// 3, then the expression statement and the ten evaluations of its
+// assignment on line 4; budgets 100 to 104 all trip inside the
+// assignment.
+func TestStepLimitNamesExpressionLine(t *testing.T) {
+	src := "int spin(int n) {\n" +
+		"    int s = 0;\n" +
+		"    while (1) {\n" +
+		"        s = s + n * 3 + (n ^ 5);\n" +
+		"    }\n" +
+		"    return s;\n" +
+		"}"
+	prog := mustParse(t, src)
+	for max := int64(100); max <= 104; max++ {
+		in, err := NewInterp(prog, InterpOptions{MaxSteps: max})
+		if err != nil {
+			t.Fatalf("NewInterp: %v", err)
+		}
+		_, err = in.CallInts("spin", 7)
+		if !errors.Is(err, ErrStepLimit) || err.Error() != "chdl: step limit exceeded at line 4" {
+			t.Errorf("MaxSteps %d: err = %v, want the step limit at line 4", max, err)
+		}
+		if in.Steps() != max+1 {
+			t.Errorf("MaxSteps %d: stopped after %d steps", max, in.Steps())
+		}
+	}
+}
+
 func TestArrayParameterSharing(t *testing.T) {
 	src := `
 void doubler(int a[], int n) {
@@ -457,5 +487,39 @@ func TestNestingCapBoundary(t *testing.T) {
 	}
 	if _, err := ParseC(blocks(maxDepth + 1)); err == nil {
 		t.Errorf("%d nested blocks parsed, want a nesting error", maxDepth+1)
+	}
+}
+
+// TestMalformedBuiltinsAndHugeArraysFail: inputs that once panicked the
+// interpreter (a builtin that reads its first argument called without
+// one, memset/memcpy/puts/printf on a pointer before its buffer) or asked
+// it for gigabytes (array declarations past the malloc cap, including
+// dimensions whose product overflows) end in a result or a runtime error.
+func TestMalformedBuiltinsAndHugeArraysFail(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`int f() { return abs(); }`, "abs called without arguments"},
+		{`int f() { memset(); return 0; }`, "memset called without arguments"},
+		{`int f() { memcpy(); return 0; }`, "memcpy called without arguments"},
+		{`int f() { int a[4]; int *p = a - 2; memset(p, 7, 4); return a[0] + a[1] + a[2]; }`, ""},
+		{`int f() { int a[4]; int b[4]; memset(b, 3, 4); memcpy(a - 1, b - 2, 4); return a[0] + a[1]; }`, ""},
+		{`int f() { char *s = "hi"; puts(s - 1); printf("%s", s - 5); return 0; }`, ""},
+		{`int f() { int a[99999999999]; return 0; }`, `array "a" of more than 16777216 cells rejected`},
+		{`int f() { int a[65536][65536][65536][65536]; return 0; }`, `array "a" of more than 16777216 cells rejected`},
+		{`int f() { int a[65536][65536][0]; return 7; }`, ""},
+	}
+	for _, c := range cases {
+		prog := mustParse(t, c.src)
+		in, err := NewInterp(prog, InterpOptions{})
+		if err != nil {
+			t.Fatalf("NewInterp: %v", err)
+		}
+		_, err = in.CallInts("f")
+		var rt *RuntimeError
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.src, err)
+		case c.want != "" && (!errors.As(err, &rt) || rt.Msg != c.want):
+			t.Errorf("%s: err = %v, want %q", c.src, err, c.want)
+		}
 	}
 }

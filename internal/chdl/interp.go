@@ -42,12 +42,25 @@ type RtVal struct {
 // IntVal wraps a scalar.
 func IntVal(v int64) RtVal { return RtVal{I: v} }
 
-// varSlot is variable storage; scalars occupy a one-cell buffer so that
+// varSlot is the storage one execution of a declaration creates. A
+// scalar's cell lives in the slot, behind a one-cell Buffer, so that
 // "&x" is always addressable.
 type varSlot struct {
-	buf *Buffer
-	typ *Type
-	ptr RtVal // for pointer-typed variables: the pointer value itself
+	typ  *Type
+	ptr  RtVal // pointer and array variables: the pointer value itself
+	buf  Buffer
+	cell [1]int64
+}
+
+// isPtr reports whether the slot holds a pointer or array variable.
+func (s *varSlot) isPtr() bool { return s.typ.Kind == KindPtr || s.typ.Kind == KindArray }
+
+// newScalar makes the storage of a scalar variable holding v.
+func newScalar(t *Type, v int64) *varSlot {
+	s := &varSlot{typ: t}
+	s.cell[0] = v
+	s.buf.data = s.cell[:]
+	return s
 }
 
 // InterpOptions bound an execution.
@@ -59,11 +72,12 @@ type InterpOptions struct {
 }
 
 // Interp executes a parsed program. One Interp may run many calls; globals
-// persist between calls.
+// persist between calls. Any number of Interps may run one Program at
+// once: they share its resolved layout and never write to it.
 type Interp struct {
-	prog     *Program
+	lay      *layout
 	opts     InterpOptions
-	globals  map[string]*varSlot
+	globals  []*varSlot // nil until every global is initialized
 	out      strings.Builder
 	steps    int64
 	rngState int64
@@ -89,23 +103,20 @@ func NewInterp(prog *Program, opts InterpOptions) (*Interp, error) {
 		opts.MaxSteps = 20_000_000
 	}
 	in := &Interp{
-		prog:        prog,
+		lay:         prog.resolved(),
 		opts:        opts,
-		globals:     map[string]*varSlot{},
 		rngState:    opts.Seed*6364136223846793005 + 1442695040888963407,
 		BranchCount: map[int]int64{},
 	}
-	fr := &frame{in: in}
-	fr.push()
-	for _, g := range prog.Globals {
+	// Globals initialize in a frame of their own, whose slots then
+	// become the globals.
+	fr := &frame{in: in, slots: make([]*varSlot, in.lay.nglobals)}
+	for _, g := range in.lay.globals {
 		if err := fr.declare(g); err != nil {
 			return nil, err
 		}
 	}
-	// Promote the frame's scope into globals.
-	for name, slot := range fr.scopes[0] {
-		in.globals[name] = slot
-	}
+	in.globals = fr.slots
 	return in, nil
 }
 
@@ -117,32 +128,36 @@ func (in *Interp) Steps() int64 { return in.steps }
 
 // Call invokes a function by name with scalar/pointer arguments.
 func (in *Interp) Call(name string, args ...RtVal) (RtVal, error) {
-	fn := in.prog.FindFunc(name)
-	if fn == nil {
-		return RtVal{}, &RuntimeError{Msg: fmt.Sprintf("undefined function %q", name)}
+	for _, fn := range in.lay.funcs {
+		if fn.d.Name == name {
+			return in.call(fn, args)
+		}
 	}
-	if len(args) != len(fn.Params) {
-		return RtVal{}, &RuntimeError{Line: fn.Line,
-			Msg: fmt.Sprintf("%s expects %d arguments, got %d", name, len(fn.Params), len(args))}
+	return RtVal{}, &RuntimeError{Msg: fmt.Sprintf("undefined function %q", name)}
+}
+
+// call runs a resolved function in a fresh frame.
+func (in *Interp) call(fn *cfunc, args []RtVal) (RtVal, error) {
+	d := fn.d
+	if len(args) != len(d.Params) {
+		return RtVal{}, &RuntimeError{Line: d.Line,
+			Msg: fmt.Sprintf("%s expects %d arguments, got %d", d.Name, len(d.Params), len(args))}
 	}
 	in.depth++
 	defer func() { in.depth-- }()
 	if in.depth > maxCallDepth {
-		return RtVal{}, &RuntimeError{Line: fn.Line, Msg: fmt.Sprintf("call depth exceeds %d (runaway recursion?)", maxCallDepth)}
+		return RtVal{}, &RuntimeError{Line: d.Line, Msg: fmt.Sprintf("call depth exceeds %d (runaway recursion?)", maxCallDepth)}
 	}
-	fr := &frame{in: in}
-	fr.push()
-	for i, prm := range fn.Params {
-		slot := &varSlot{typ: prm.Type}
+	fr := &frame{in: in, slots: make([]*varSlot, fn.nslots)}
+	for i, prm := range d.Params {
 		switch prm.Type.Kind {
 		case KindPtr, KindArray:
-			slot.ptr = args[i]
+			fr.slots[fn.params[i]] = &varSlot{typ: prm.Type, ptr: args[i]}
 		default:
-			slot.buf = &Buffer{data: []int64{truncType(args[i].I, prm.Type)}}
+			fr.slots[fn.params[i]] = newScalar(prm.Type, truncType(args[i].I, prm.Type))
 		}
-		fr.scopes[len(fr.scopes)-1][prm.Name] = slot
 	}
-	ctrl, err := fr.exec(fn.Body)
+	ctrl, err := fr.exec(fn.body)
 	if err != nil {
 		return RtVal{}, err
 	}
@@ -155,9 +170,10 @@ func (in *Interp) Call(name string, args ...RtVal) (RtVal, error) {
 // CallInts invokes a function with integer arguments and returns its
 // integer result; the common case for kernels.
 func (in *Interp) CallInts(name string, args ...int64) (int64, error) {
-	vals := make([]RtVal, len(args))
-	for i, a := range args {
-		vals[i] = IntVal(a)
+	var small [8]RtVal // up to eight arguments convert without allocating
+	vals := small[:0]
+	for _, a := range args {
+		vals = append(vals, IntVal(a))
 	}
 	r, err := in.Call(name, vals...)
 	return r.I, err
@@ -191,23 +207,35 @@ const (
 	ctrlReturn
 )
 
+// frame is one function activation: a slot per parameter and local name
+// of the function, indexed by the layout.
 type frame struct {
-	in     *Interp
-	scopes []map[string]*varSlot
-	ret    RtVal
+	in    *Interp
+	slots []*varSlot
+	ret   RtVal
 }
 
-func (fr *frame) push() { fr.scopes = append(fr.scopes, map[string]*varSlot{}) }
-func (fr *frame) pop()  { fr.scopes = fr.scopes[:len(fr.scopes)-1] }
-
-func (fr *frame) lookup(name string) (*varSlot, bool) {
-	for i := len(fr.scopes) - 1; i >= 0; i-- {
-		if s, ok := fr.scopes[i][name]; ok {
-			return s, true
+// lookup finds the storage a resolved reference names, or nil when the
+// name is not bound here.
+func (fr *frame) lookup(r *ref) *varSlot {
+	for {
+		switch r.kind {
+		case refLocal:
+			return fr.slots[r.idx]
+		case refGlobal:
+			if fr.in.globals == nil {
+				return nil
+			}
+			return fr.in.globals[r.idx]
+		case refMaybe:
+			if s := fr.slots[r.idx]; s != nil {
+				return s
+			}
+			r = r.alt
+		default:
+			return nil
 		}
 	}
-	s, ok := fr.in.globals[name]
-	return s, ok
 }
 
 func (fr *frame) step(line int) error {
@@ -237,42 +265,29 @@ func truncType(v int64, t *Type) int64 {
 	}
 }
 
-// declare creates storage for one variable declaration.
-func (fr *frame) declare(d *VarDecl) error {
-	slot := &varSlot{typ: d.Type}
-	cur := fr.scopes[len(fr.scopes)-1]
+// declare creates fresh storage for one execution of a declaration.
+func (fr *frame) declare(rd *decl) error {
+	d := rd.d
+	var slot *varSlot
 	switch d.Type.Kind {
 	case KindArray:
-		n := d.Type.ArrayLen
-		if n < 0 {
-			if len(d.InitList) > 0 {
-				n = len(d.InitList)
-			} else {
-				return &RuntimeError{Line: d.Line, Msg: fmt.Sprintf("array %q has no static length", d.Name)}
-			}
+		if rd.lenErr != "" {
+			return &RuntimeError{Line: d.Line, Msg: rd.lenErr}
 		}
-		total := n
-		for e := d.Type.Elem; e != nil && e.Kind == KindArray; e = e.Elem {
-			if e.ArrayLen < 0 {
-				return &RuntimeError{Line: d.Line, Msg: fmt.Sprintf("array %q has no static length", d.Name)}
-			}
-			total *= e.ArrayLen
-		}
-		buf := &Buffer{data: make([]int64, total)}
-		slot.ptr = RtVal{Buf: buf, IsPtr: true}
-		for i, e := range d.InitList {
-			if i >= total {
-				break
-			}
+		slot = &varSlot{typ: d.Type}
+		slot.buf.data = make([]int64, rd.cells)
+		slot.ptr = RtVal{Buf: &slot.buf, IsPtr: true}
+		for i, e := range rd.list {
 			v, err := fr.eval(e)
 			if err != nil {
 				return err
 			}
-			buf.data[i] = v.I
+			slot.buf.data[i] = v.I
 		}
 	case KindPtr:
-		if d.Init != nil {
-			v, err := fr.eval(d.Init)
+		slot = &varSlot{typ: d.Type}
+		if rd.init != nil {
+			v, err := fr.eval(rd.init)
 			if err != nil {
 				return err
 			}
@@ -280,8 +295,8 @@ func (fr *frame) declare(d *VarDecl) error {
 		}
 	default:
 		var init int64
-		if d.Init != nil {
-			v, err := fr.eval(d.Init)
+		if rd.init != nil {
+			v, err := fr.eval(rd.init)
 			if err != nil {
 				return err
 			}
@@ -290,22 +305,23 @@ func (fr *frame) declare(d *VarDecl) error {
 			}
 			init = v.I
 		}
-		slot.buf = &Buffer{data: []int64{truncType(init, d.Type)}}
+		slot = newScalar(d.Type, truncType(init, d.Type))
 	}
-	cur[d.Name] = slot
+	fr.slots[rd.idx] = slot
 	return nil
 }
 
 // exec runs one statement.
-func (fr *frame) exec(st Stmt) (ctrlKind, error) {
-	switch n := st.(type) {
-	case nil:
+func (fr *frame) exec(st *stmt) (ctrlKind, error) {
+	if st == nil {
 		return ctrlNone, nil
-
-	case *BlockStmt:
-		fr.push()
-		defer fr.pop()
-		for _, s := range n.Stmts {
+	}
+	switch st.kind {
+	case sBlock:
+		for _, i := range st.clear {
+			fr.slots[i] = nil
+		}
+		for _, s := range st.list {
 			c, err := fr.exec(s)
 			if err != nil || c != ctrlNone {
 				return c, err
@@ -313,60 +329,59 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 		}
 		return ctrlNone, nil
 
-	case *DeclStmt:
-		for _, d := range n.Decls {
+	case sDecl:
+		for _, rd := range st.decls {
+			d := rd.d
 			if err := fr.step(d.Line); err != nil {
 				return ctrlNone, err
 			}
-			if err := fr.declare(d); err != nil {
+			if err := fr.declare(rd); err != nil {
 				return ctrlNone, err
 			}
 			if fr.in.Trace != nil && (fr.in.TraceAll || fr.in.TraceVars[d.Name]) {
-				if s, ok := fr.lookup(d.Name); ok && s.buf != nil {
-					fr.in.Trace(d.Line, d.Name, s.buf.data[0])
+				if s := fr.slots[rd.idx]; !s.isPtr() {
+					fr.in.Trace(d.Line, d.Name, s.cell[0])
 				}
 			}
 		}
 		return ctrlNone, nil
 
-	case *ExprStmt:
-		if err := fr.step(n.Line); err != nil {
+	case sExpr:
+		if err := fr.step(st.line); err != nil {
 			return ctrlNone, err
 		}
-		_, err := fr.eval(n.X)
+		_, err := fr.eval(st.x)
 		return ctrlNone, err
 
-	case *IfStmt:
-		if err := fr.step(n.Line); err != nil {
+	case sIf:
+		if err := fr.step(st.line); err != nil {
 			return ctrlNone, err
 		}
-		c, err := fr.eval(n.Cond)
+		c, err := fr.eval(st.x)
 		if err != nil {
 			return ctrlNone, err
 		}
 		if truthy(c) {
-			fr.in.BranchCount[n.Line]++
-			return fr.exec(n.Then)
+			fr.in.BranchCount[st.line]++
+			return fr.exec(st.body)
 		}
-		if n.Else != nil {
-			return fr.exec(n.Else)
-		}
-		return ctrlNone, nil
+		return fr.exec(st.els)
 
-	case *ForStmt:
-		fr.push()
-		defer fr.pop()
-		if n.Init != nil {
-			if c, err := fr.exec(n.Init); err != nil || c == ctrlReturn {
+	case sFor:
+		for _, i := range st.clear {
+			fr.slots[i] = nil
+		}
+		if st.init != nil {
+			if c, err := fr.exec(st.init); err != nil || c == ctrlReturn {
 				return c, err
 			}
 		}
 		for {
-			if err := fr.step(n.Line); err != nil {
+			if err := fr.step(st.line); err != nil {
 				return ctrlNone, err
 			}
-			if n.Cond != nil {
-				c, err := fr.eval(n.Cond)
+			if st.x != nil {
+				c, err := fr.eval(st.x)
 				if err != nil {
 					return ctrlNone, err
 				}
@@ -374,8 +389,8 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 					return ctrlNone, nil
 				}
 			}
-			fr.in.BranchCount[n.Line]++
-			c, err := fr.exec(n.Body)
+			fr.in.BranchCount[st.line]++
+			c, err := fr.exec(st.body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -385,27 +400,27 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 			if c == ctrlBreak {
 				return ctrlNone, nil
 			}
-			if n.Post != nil {
-				if _, err := fr.eval(n.Post); err != nil {
+			if st.post != nil {
+				if _, err := fr.eval(st.post); err != nil {
 					return ctrlNone, err
 				}
 			}
 		}
 
-	case *WhileStmt:
+	case sWhile:
 		for {
-			if err := fr.step(n.Line); err != nil {
+			if err := fr.step(st.line); err != nil {
 				return ctrlNone, err
 			}
-			c, err := fr.eval(n.Cond)
+			c, err := fr.eval(st.x)
 			if err != nil {
 				return ctrlNone, err
 			}
 			if !truthy(c) {
 				return ctrlNone, nil
 			}
-			fr.in.BranchCount[n.Line]++
-			k, err := fr.exec(n.Body)
+			fr.in.BranchCount[st.line]++
+			k, err := fr.exec(st.body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -417,12 +432,12 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 			}
 		}
 
-	case *DoStmt:
+	case sDo:
 		for {
-			if err := fr.step(n.Line); err != nil {
+			if err := fr.step(st.line); err != nil {
 				return ctrlNone, err
 			}
-			k, err := fr.exec(n.Body)
+			k, err := fr.exec(st.body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -432,7 +447,7 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 			if k == ctrlBreak {
 				return ctrlNone, nil
 			}
-			c, err := fr.eval(n.Cond)
+			c, err := fr.eval(st.x)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -441,12 +456,12 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 			}
 		}
 
-	case *ReturnStmt:
-		if err := fr.step(n.Line); err != nil {
+	case sReturn:
+		if err := fr.step(st.line); err != nil {
 			return ctrlNone, err
 		}
-		if n.X != nil {
-			v, err := fr.eval(n.X)
+		if st.x != nil {
+			v, err := fr.eval(st.x)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -454,15 +469,14 @@ func (fr *frame) exec(st Stmt) (ctrlKind, error) {
 		}
 		return ctrlReturn, nil
 
-	case *BreakStmt:
+	case sBreak:
 		return ctrlBreak, nil
-	case *ContinueStmt:
+	case sContinue:
 		return ctrlContinue, nil
-	case *PragmaStmt:
+	case sNop:
 		return ctrlNone, nil
-
 	default:
-		return ctrlNone, &RuntimeError{Msg: fmt.Sprintf("unsupported statement %T", st)}
+		return ctrlNone, &RuntimeError{Msg: st.bad}
 	}
 }
 
@@ -475,69 +489,71 @@ func truthy(v RtVal) bool {
 
 // --- expression evaluation ----------------------------------------------
 
-// lvalue locates the storage cell an expression designates.
-func (fr *frame) lvalue(ex Expr) (*Buffer, int, *Type, error) {
-	switch n := ex.(type) {
-	case *VarRef:
-		slot, ok := fr.lookup(n.Name)
-		if !ok {
-			return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("undefined variable %q", n.Name)}
-		}
-		switch slot.typ.Kind {
-		case KindPtr, KindArray:
-			return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("%q is a pointer; assign through an index or use plain assignment", n.Name)}
-		default:
-			return slot.buf, 0, slot.typ, nil
-		}
+func undefinedVar(n *node) error {
+	return &RuntimeError{Line: n.line, Msg: fmt.Sprintf("undefined variable %q", n.text)}
+}
 
-	case *IndexExpr:
-		base, err := fr.eval(n.X)
+// lvalue locates the storage cell an expression designates.
+func (fr *frame) lvalue(n *node) (*Buffer, int, *Type, error) {
+	switch n.kind {
+	case nVar:
+		s := fr.lookup(&n.ref)
+		if s == nil {
+			return nil, 0, nil, undefinedVar(n)
+		}
+		if s.isPtr() {
+			return nil, 0, nil, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("%q is a pointer; assign through an index or use plain assignment", n.text)}
+		}
+		return &s.buf, 0, s.typ, nil
+
+	case nIndex:
+		base, err := fr.eval(n.x)
 		if err != nil {
 			return nil, 0, nil, err
 		}
 		if !base.IsPtr || base.Buf == nil {
-			return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: "indexing a non-pointer value"}
+			return nil, 0, nil, &RuntimeError{Line: n.line, Msg: "indexing a non-pointer value"}
 		}
-		idx, err := fr.eval(n.Idx)
+		idx, err := fr.eval(n.y)
 		if err != nil {
 			return nil, 0, nil, err
 		}
 		off := base.Off + int(idx.I)
 		if base.Buf.freed {
-			return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: "use after free"}
+			return nil, 0, nil, &RuntimeError{Line: n.line, Msg: "use after free"}
 		}
 		if off < 0 || off >= len(base.Buf.data) {
-			return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("index %d out of bounds (length %d)", off, len(base.Buf.data))}
+			return nil, 0, nil, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("index %d out of bounds (length %d)", off, len(base.Buf.data))}
 		}
-		return base.Buf, off, elemTypeOf(n.X, fr), nil
+		return base.Buf, off, fr.elemType(n.x), nil
 
-	case *UnExpr:
-		if n.Op == "*" {
-			ptr, err := fr.eval(n.X)
+	case nUnary:
+		if n.op == opDeref {
+			ptr, err := fr.eval(n.x)
 			if err != nil {
 				return nil, 0, nil, err
 			}
 			if !ptr.IsPtr || ptr.Buf == nil {
-				return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: "dereferencing a non-pointer value"}
+				return nil, 0, nil, &RuntimeError{Line: n.line, Msg: "dereferencing a non-pointer value"}
 			}
 			if ptr.Buf.freed {
-				return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: "use after free"}
+				return nil, 0, nil, &RuntimeError{Line: n.line, Msg: "use after free"}
 			}
 			if ptr.Off < 0 || ptr.Off >= len(ptr.Buf.data) {
-				return nil, 0, nil, &RuntimeError{Line: n.Line, Msg: "pointer dereference out of bounds"}
+				return nil, 0, nil, &RuntimeError{Line: n.line, Msg: "pointer dereference out of bounds"}
 			}
 			return ptr.Buf, ptr.Off, nil, nil
 		}
 	}
-	return nil, 0, nil, &RuntimeError{Msg: fmt.Sprintf("expression %T is not assignable", ex)}
+	return nil, 0, nil, &RuntimeError{Msg: fmt.Sprintf("expression %T is not assignable", n.src)}
 }
 
-// elemTypeOf gives the element type of an indexed expression when it can
-// be determined statically (for store truncation); nil otherwise.
-func elemTypeOf(ex Expr, fr *frame) *Type {
-	if vr, ok := ex.(*VarRef); ok {
-		if slot, found := fr.lookup(vr.Name); found && slot.typ.Elem != nil {
-			return slot.typ.Elem
+// elemType gives the element type of an indexed variable (for store
+// truncation); nil for any other indexed expression.
+func (fr *frame) elemType(base *node) *Type {
+	if base.kind == nVar {
+		if s := fr.lookup(&base.ref); s != nil && s.typ.Elem != nil {
+			return s.typ.Elem
 		}
 	}
 	return nil
@@ -545,17 +561,28 @@ func elemTypeOf(ex Expr, fr *frame) *Type {
 
 // assignTo stores a value into an lvalue, applying type truncation and
 // firing instrumentation hooks.
-func (fr *frame) assignTo(lhs Expr, v RtVal, line int) (RtVal, error) {
-	// Pointer variable assignment replaces the pointer value.
-	if vr, ok := lhs.(*VarRef); ok {
-		if slot, found := fr.lookup(vr.Name); found && (slot.typ.Kind == KindPtr || slot.typ.Kind == KindArray) {
-			slot.ptr = v
+func (fr *frame) assignTo(lhs *node, v RtVal, line int) (RtVal, error) {
+	var (
+		buf *Buffer
+		off int
+		typ *Type
+	)
+	if lhs.kind == nVar {
+		s := fr.lookup(&lhs.ref)
+		if s == nil {
+			return RtVal{}, undefinedVar(lhs)
+		}
+		if s.isPtr() {
+			// Pointer variable assignment replaces the pointer value.
+			s.ptr = v
 			return v, nil
 		}
-	}
-	buf, off, typ, err := fr.lvalue(lhs)
-	if err != nil {
-		return RtVal{}, err
+		buf, typ = &s.buf, s.typ
+	} else {
+		var err error
+		if buf, off, typ, err = fr.lvalue(lhs); err != nil {
+			return RtVal{}, err
+		}
 	}
 	if v.IsPtr {
 		return RtVal{}, &RuntimeError{Line: line, Msg: "storing a pointer into a scalar cell"}
@@ -565,97 +592,92 @@ func (fr *frame) assignTo(lhs Expr, v RtVal, line int) (RtVal, error) {
 		stored = truncType(stored, typ)
 	}
 	buf.data[off] = stored
-	if fr.in.Trace != nil {
-		if vr, ok := lhs.(*VarRef); ok && (fr.in.TraceAll || fr.in.TraceVars[vr.Name]) {
-			fr.in.Trace(line, vr.Name, stored)
-		} else if ix, ok := lhs.(*IndexExpr); ok {
-			if vr, ok := ix.X.(*VarRef); ok && (fr.in.TraceAll || fr.in.TraceVars[vr.Name]) {
-				fr.in.Trace(line, vr.Name, stored)
+	if in := fr.in; in.Trace != nil {
+		if lhs.kind == nVar {
+			if in.TraceAll || in.TraceVars[lhs.text] {
+				in.Trace(line, lhs.text, stored)
 			}
+		} else if lhs.kind == nIndex && lhs.x.kind == nVar && (in.TraceAll || in.TraceVars[lhs.x.text]) {
+			in.Trace(line, lhs.x.text, stored)
 		}
 	}
 	return RtVal{I: stored}, nil
 }
 
-var compoundBase = map[string]string{
-	"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
-	"<<=": "<<", ">>=": ">>", "&=": "&", "|=": "|", "^=": "^",
-}
-
-// eval computes an expression value.
-func (fr *frame) eval(ex Expr) (RtVal, error) {
-	if err := fr.step(0); err != nil {
+// eval computes an expression value. Every evaluation is one step.
+func (fr *frame) eval(n *node) (RtVal, error) {
+	if err := fr.step(n.line); err != nil {
 		return RtVal{}, err
 	}
-	switch n := ex.(type) {
-	case *IntLit:
-		return IntVal(n.Val), nil
+	switch n.kind {
+	case nLit:
+		return IntVal(n.val), nil
 
-	case *StrLit:
+	case nStr:
 		// Strings become cell buffers (one char per cell, NUL-terminated).
-		data := make([]int64, len(n.Val)+1)
-		for i := 0; i < len(n.Val); i++ {
-			data[i] = int64(n.Val[i])
+		data := make([]int64, len(n.text)+1)
+		for i := 0; i < len(n.text); i++ {
+			data[i] = int64(n.text[i])
 		}
 		return RtVal{Buf: &Buffer{data: data}, IsPtr: true}, nil
 
-	case *VarRef:
-		slot, ok := fr.lookup(n.Name)
-		if !ok {
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("undefined variable %q", n.Name)}
+	case nVar:
+		s := fr.lookup(&n.ref)
+		if s == nil {
+			return RtVal{}, undefinedVar(n)
 		}
-		if slot.typ.Kind == KindPtr || slot.typ.Kind == KindArray {
-			return slot.ptr, nil
+		if s.isPtr() {
+			return s.ptr, nil
 		}
-		return IntVal(slot.buf.data[0]), nil
+		return IntVal(s.cell[0]), nil
 
-	case *AssignExpr:
-		if n.Op == "=" {
-			v, err := fr.eval(n.RHS)
-			if err != nil {
-				return RtVal{}, err
-			}
-			return fr.assignTo(n.LHS, v, n.Line)
-		}
-		cur, err := fr.eval(n.LHS)
+	case nAssign:
+		v, err := fr.eval(n.y)
 		if err != nil {
 			return RtVal{}, err
 		}
-		rhs, err := fr.eval(n.RHS)
+		return fr.assignTo(n.x, v, n.line)
+
+	case nCompound:
+		cur, err := fr.eval(n.x)
+		if err != nil {
+			return RtVal{}, err
+		}
+		rhs, err := fr.eval(n.y)
 		if err != nil {
 			return RtVal{}, err
 		}
 		if cur.IsPtr { // p += k
-			if n.Op != "+=" && n.Op != "-=" {
-				return RtVal{}, &RuntimeError{Line: n.Line, Msg: "unsupported pointer compound assignment"}
+			if n.op != opAdd && n.op != opSub {
+				return RtVal{}, &RuntimeError{Line: n.line, Msg: "unsupported pointer compound assignment"}
 			}
 			delta := int(rhs.I)
-			if n.Op == "-=" {
+			if n.op == opSub {
 				delta = -delta
 			}
 			nv := RtVal{Buf: cur.Buf, Off: cur.Off + delta, IsPtr: true}
-			return fr.assignTo(n.LHS, nv, n.Line)
+			return fr.assignTo(n.x, nv, n.line)
 		}
-		res, err := applyCBinary(compoundBase[n.Op], cur, rhs, n.Line)
+		res, err := applyCBinary(n, cur, rhs)
 		if err != nil {
 			return RtVal{}, err
 		}
-		return fr.assignTo(n.LHS, res, n.Line)
+		return fr.assignTo(n.x, res, n.line)
 
-	case *BinExpr:
+	case nBin:
 		// Short-circuit logicals first.
-		if n.Op == "&&" || n.Op == "||" {
-			x, err := fr.eval(n.X)
+		if n.op == opLAnd || n.op == opLOr {
+			x, err := fr.eval(n.x)
 			if err != nil {
 				return RtVal{}, err
 			}
-			if n.Op == "&&" && !truthy(x) {
+			if n.op == opLAnd && !truthy(x) {
 				return IntVal(0), nil
 			}
-			if n.Op == "||" && truthy(x) {
+			if n.op == opLOr && truthy(x) {
 				return IntVal(1), nil
 			}
-			y, err := fr.eval(n.Y)
+			y, err := fr.eval(n.y)
 			if err != nil {
 				return RtVal{}, err
 			}
@@ -664,230 +686,227 @@ func (fr *frame) eval(ex Expr) (RtVal, error) {
 			}
 			return IntVal(0), nil
 		}
-		x, err := fr.eval(n.X)
+		x, err := fr.eval(n.x)
 		if err != nil {
 			return RtVal{}, err
 		}
-		y, err := fr.eval(n.Y)
+		y, err := fr.eval(n.y)
 		if err != nil {
 			return RtVal{}, err
 		}
-		return applyCBinary(n.Op, x, y, n.Line)
+		return applyCBinary(n, x, y)
 
-	case *UnExpr:
-		switch n.Op {
-		case "*":
+	case nUnary:
+		switch n.op {
+		case opDeref:
 			buf, off, _, err := fr.lvalue(n)
 			if err != nil {
 				return RtVal{}, err
 			}
 			return IntVal(buf.data[off]), nil
-		case "&":
-			switch target := n.X.(type) {
-			case *VarRef:
-				slot, ok := fr.lookup(target.Name)
-				if !ok {
-					return RtVal{}, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("undefined variable %q", target.Name)}
+		case opAddr:
+			switch n.x.kind {
+			case nVar:
+				s := fr.lookup(&n.x.ref)
+				if s == nil {
+					return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("undefined variable %q", n.x.text)}
 				}
-				if slot.typ.Kind == KindPtr || slot.typ.Kind == KindArray {
-					return slot.ptr, nil
+				if s.isPtr() {
+					return s.ptr, nil
 				}
-				return RtVal{Buf: slot.buf, IsPtr: true}, nil
-			case *IndexExpr:
-				buf, off, _, err := fr.lvalue(target)
+				return RtVal{Buf: &s.buf, IsPtr: true}, nil
+			case nIndex:
+				buf, off, _, err := fr.lvalue(n.x)
 				if err != nil {
 					return RtVal{}, err
 				}
 				return RtVal{Buf: buf, Off: off, IsPtr: true}, nil
 			default:
-				return RtVal{}, &RuntimeError{Line: n.Line, Msg: "unsupported address-of target"}
+				return RtVal{}, &RuntimeError{Line: n.line, Msg: "unsupported address-of target"}
 			}
-		case "++", "--":
-			cur, err := fr.eval(n.X)
+		case opInc, opDec:
+			cur, err := fr.eval(n.x)
 			if err != nil {
 				return RtVal{}, err
 			}
 			if cur.IsPtr {
 				d := 1
-				if n.Op == "--" {
+				if n.op == opDec {
 					d = -1
 				}
 				nv := RtVal{Buf: cur.Buf, Off: cur.Off + d, IsPtr: true}
-				return fr.assignTo(n.X, nv, n.Line)
+				return fr.assignTo(n.x, nv, n.line)
 			}
 			d := int64(1)
-			if n.Op == "--" {
+			if n.op == opDec {
 				d = -1
 			}
-			return fr.assignTo(n.X, IntVal(cur.I+d), n.Line)
+			return fr.assignTo(n.x, IntVal(cur.I+d), n.line)
 		}
-		x, err := fr.eval(n.X)
+		x, err := fr.eval(n.x)
 		if err != nil {
 			return RtVal{}, err
 		}
-		switch n.Op {
-		case "-":
+		switch n.op {
+		case opNeg:
 			return IntVal(-x.I), nil
-		case "!":
+		case opNot:
 			if truthy(x) {
 				return IntVal(0), nil
 			}
 			return IntVal(1), nil
-		case "~":
+		case opBitNot:
 			return IntVal(^x.I), nil
 		default:
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("unsupported unary %q", n.Op)}
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("unsupported unary %q", n.text)}
 		}
 
-	case *PostfixExpr:
-		cur, err := fr.eval(n.X)
+	case nPostfix:
+		cur, err := fr.eval(n.x)
 		if err != nil {
 			return RtVal{}, err
 		}
 		if cur.IsPtr {
 			d := 1
-			if n.Op == "--" {
+			if n.op == opDec {
 				d = -1
 			}
-			if _, err := fr.assignTo(n.X, RtVal{Buf: cur.Buf, Off: cur.Off + d, IsPtr: true}, n.Line); err != nil {
+			if _, err := fr.assignTo(n.x, RtVal{Buf: cur.Buf, Off: cur.Off + d, IsPtr: true}, n.line); err != nil {
 				return RtVal{}, err
 			}
 			return cur, nil
 		}
 		d := int64(1)
-		if n.Op == "--" {
+		if n.op == opDec {
 			d = -1
 		}
-		if _, err := fr.assignTo(n.X, IntVal(cur.I+d), n.Line); err != nil {
+		if _, err := fr.assignTo(n.x, IntVal(cur.I+d), n.line); err != nil {
 			return RtVal{}, err
 		}
 		return cur, nil
 
-	case *CondExpr:
-		c, err := fr.eval(n.Cond)
+	case nCond:
+		c, err := fr.eval(n.x)
 		if err != nil {
 			return RtVal{}, err
 		}
 		if truthy(c) {
-			return fr.eval(n.Then)
+			return fr.eval(n.y)
 		}
-		return fr.eval(n.Else)
+		return fr.eval(n.z)
 
-	case *IndexExpr:
+	case nIndex:
 		buf, off, _, err := fr.lvalue(n)
 		if err != nil {
 			return RtVal{}, err
 		}
 		return IntVal(buf.data[off]), nil
 
-	case *CallExpr:
+	case nCall:
 		return fr.call(n)
 
-	case *CastExpr:
-		v, err := fr.eval(n.X)
+	case nCast:
+		v, err := fr.eval(n.x)
 		if err != nil {
 			return RtVal{}, err
 		}
-		if n.To.Kind == KindPtr {
+		if n.to.Kind == KindPtr {
 			return v, nil // pointer casts are free at cell granularity
 		}
 		if v.IsPtr {
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: "casting a pointer to a scalar"}
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: "casting a pointer to a scalar"}
 		}
-		return IntVal(truncType(v.I, n.To)), nil
-
-	case *SizeofExpr:
-		// Cell-granular memory model: every type occupies one cell.
-		return IntVal(1), nil
+		return IntVal(truncType(v.I, n.to)), nil
 
 	default:
-		return RtVal{}, &RuntimeError{Msg: fmt.Sprintf("unsupported expression %T", ex)}
+		return RtVal{}, &RuntimeError{Msg: n.text}
 	}
 }
 
-// applyCBinary evaluates arithmetic/comparison on 64-bit values with C
-// truncate-toward-zero division. Pointer comparisons compare offsets.
-func applyCBinary(op string, x, y RtVal, line int) (RtVal, error) {
+// applyCBinary evaluates n's arithmetic/comparison operator on 64-bit
+// values with C truncate-toward-zero division. Pointer comparisons
+// compare offsets.
+func applyCBinary(n *node, x, y RtVal) (RtVal, error) {
 	if x.IsPtr || y.IsPtr {
-		switch op {
-		case "+":
+		switch n.op {
+		case opAdd:
 			if x.IsPtr && !y.IsPtr {
 				return RtVal{Buf: x.Buf, Off: x.Off + int(y.I), IsPtr: true}, nil
 			}
 			if y.IsPtr && !x.IsPtr {
 				return RtVal{Buf: y.Buf, Off: y.Off + int(x.I), IsPtr: true}, nil
 			}
-		case "-":
+		case opSub:
 			if x.IsPtr && y.IsPtr {
 				return IntVal(int64(x.Off - y.Off)), nil
 			}
 			if x.IsPtr {
 				return RtVal{Buf: x.Buf, Off: x.Off - int(y.I), IsPtr: true}, nil
 			}
-		case "==", "!=", "<", "<=", ">", ">=":
+		case opEq, opNe, opLt, opLe, opGt, opGe:
 			xo, yo := int64(x.Off), int64(y.Off)
 			if x.Buf != y.Buf {
 				xo, yo = 0, 1 // distinct allocations: unequal, stable order
 			}
-			return cmpInt(op, xo, yo), nil
+			return cmpInt(n.op, xo, yo), nil
 		}
-		return RtVal{}, &RuntimeError{Line: line, Msg: fmt.Sprintf("unsupported pointer operation %q", op)}
+		return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("unsupported pointer operation %q", n.text)}
 	}
 	a, b := x.I, y.I
-	switch op {
-	case "+":
+	switch n.op {
+	case opAdd:
 		return IntVal(a + b), nil
-	case "-":
+	case opSub:
 		return IntVal(a - b), nil
-	case "*":
+	case opMul:
 		return IntVal(a * b), nil
-	case "/":
+	case opDiv:
 		if b == 0 {
-			return RtVal{}, &RuntimeError{Line: line, Msg: "division by zero"}
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: "division by zero"}
 		}
 		if a == int64(-1)<<63 && b == -1 {
 			return IntVal(a), nil
 		}
 		return IntVal(a / b), nil
-	case "%":
+	case opMod:
 		if b == 0 {
-			return RtVal{}, &RuntimeError{Line: line, Msg: "modulo by zero"}
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: "modulo by zero"}
 		}
 		if a == int64(-1)<<63 && b == -1 {
 			return IntVal(0), nil
 		}
 		return IntVal(a % b), nil
-	case "&":
+	case opAnd:
 		return IntVal(a & b), nil
-	case "|":
+	case opOr:
 		return IntVal(a | b), nil
-	case "^":
+	case opXor:
 		return IntVal(a ^ b), nil
-	case "<<":
+	case opShl:
 		return IntVal(a << (uint64(b) & 63)), nil
-	case ">>":
+	case opShr:
 		return IntVal(a >> (uint64(b) & 63)), nil
-	case "==", "!=", "<", "<=", ">", ">=":
-		return cmpInt(op, a, b), nil
+	case opEq, opNe, opLt, opLe, opGt, opGe:
+		return cmpInt(n.op, a, b), nil
 	default:
-		return RtVal{}, &RuntimeError{Line: line, Msg: fmt.Sprintf("unsupported operator %q", op)}
+		return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("unsupported operator %q", n.text)}
 	}
 }
 
-func cmpInt(op string, a, b int64) RtVal {
+func cmpInt(op opcode, a, b int64) RtVal {
 	var ok bool
 	switch op {
-	case "==":
+	case opEq:
 		ok = a == b
-	case "!=":
+	case opNe:
 		ok = a != b
-	case "<":
+	case opLt:
 		ok = a < b
-	case "<=":
+	case opLe:
 		ok = a <= b
-	case ">":
+	case opGt:
 		ok = a > b
-	case ">=":
+	case opGe:
 		ok = a >= b
 	}
 	if ok {
@@ -896,98 +915,103 @@ func cmpInt(op string, a, b int64) RtVal {
 	return IntVal(0)
 }
 
-// --- builtins -------------------------------------------------------------
+// --- calls and builtins ---------------------------------------------------
 
-func (fr *frame) call(n *CallExpr) (RtVal, error) {
-	in := fr.in
-	evalArgs := func() ([]RtVal, error) {
-		out := make([]RtVal, len(n.Args))
-		for i, a := range n.Args {
-			v, err := fr.eval(a)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+// evalArgs evaluates a call's arguments in order.
+func (fr *frame) evalArgs(n *node) ([]RtVal, error) {
+	out := make([]RtVal, len(n.args))
+	for i, a := range n.args {
+		v, err := fr.eval(a)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		out[i] = v
 	}
+	return out, nil
+}
 
-	switch n.Name {
-	case "malloc", "calloc":
-		args, err := evalArgs()
+func (fr *frame) call(n *node) (RtVal, error) {
+	in := fr.in
+	switch n.builtin {
+	case bUser:
+		if n.fn == nil {
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("call to undefined function %q", n.text)}
+		}
+		args, err := fr.evalArgs(n)
 		if err != nil {
 			return RtVal{}, err
 		}
+		return in.call(n.fn, args)
+
+	case bPrintf:
+		return fr.printf(n)
+
+	case bRand:
+		in.rngState = in.rngState*6364136223846793005 + 1442695040888963407
+		return IntVal((in.rngState >> 33) & 0x7FFFFFFF), nil
+
+	case bExit:
+		return RtVal{}, &RuntimeError{Line: n.line, Msg: "exit() called"}
+	}
+
+	args, err := fr.evalArgs(n)
+	if err != nil {
+		return RtVal{}, err
+	}
+	switch n.builtin {
+	case bMalloc, bCalloc:
 		cells := int64(0)
 		if len(args) >= 1 {
 			cells = args[0].I
 		}
-		if n.Name == "calloc" && len(args) == 2 {
+		if n.builtin == bCalloc && len(args) == 2 {
 			cells = args[0].I * args[1].I
 		}
-		if cells < 0 || cells > 1<<24 {
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("malloc of %d cells rejected", cells)}
+		if cells < 0 || cells > maxCells {
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("malloc of %d cells rejected", cells)}
 		}
 		return RtVal{Buf: &Buffer{data: make([]int64, cells)}, IsPtr: true}, nil
 
-	case "free":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
+	case bFree:
 		if len(args) == 1 && args[0].Buf != nil {
 			if args[0].Buf.freed {
-				return RtVal{}, &RuntimeError{Line: n.Line, Msg: "double free"}
+				return RtVal{}, &RuntimeError{Line: n.line, Msg: "double free"}
 			}
 			args[0].Buf.freed = true
 		}
 		return RtVal{}, nil
 
-	case "printf":
-		return fr.printf(n)
-
-	case "putchar":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
+	case bPutchar:
 		if len(args) == 1 && in.out.Len() < maxCOutput {
 			in.out.WriteByte(byte(args[0].I))
 		}
 		return IntVal(1), nil
 
-	case "puts":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
+	case bPuts:
 		if len(args) == 1 && args[0].Buf != nil && in.out.Len() < maxCOutput {
 			in.out.WriteString(cString(args[0]))
 			in.out.WriteByte('\n')
 		}
 		return IntVal(1), nil
 
-	case "memset":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
+	case bMemset:
+		if len(args) == 0 {
+			return noArgsErr(n)
 		}
-		if len(args) == 3 && args[0].Buf != nil {
-			b := args[0]
-			for i := 0; i < int(args[2].I) && b.Off+i < len(b.Buf.data); i++ {
+		if b := args[0]; len(args) == 3 && b.Buf != nil {
+			for i := max(0, -b.Off); i < int(args[2].I) && b.Off+i < len(b.Buf.data); i++ {
 				b.Buf.data[b.Off+i] = args[1].I
 			}
 		}
 		return args[0], nil
 
-	case "memcpy":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
+	case bMemcpy:
+		if len(args) == 0 {
+			return noArgsErr(n)
 		}
 		if len(args) == 3 && args[0].Buf != nil && args[1].Buf != nil {
 			dst, src := args[0], args[1]
-			for i := 0; i < int(args[2].I); i++ {
+			for i := max(0, -dst.Off, -src.Off); i < int(args[2].I); i++ {
 				if dst.Off+i >= len(dst.Buf.data) || src.Off+i >= len(src.Buf.data) {
 					break
 				}
@@ -996,10 +1020,9 @@ func (fr *frame) call(n *CallExpr) (RtVal, error) {
 		}
 		return args[0], nil
 
-	case "abs", "labs":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
+	case bAbs:
+		if len(args) == 0 {
+			return noArgsErr(n)
 		}
 		v := args[0].I
 		if v < 0 {
@@ -1007,52 +1030,36 @@ func (fr *frame) call(n *CallExpr) (RtVal, error) {
 		}
 		return IntVal(v), nil
 
-	case "rand":
-		in.rngState = in.rngState*6364136223846793005 + 1442695040888963407
-		return IntVal((in.rngState >> 33) & 0x7FFFFFFF), nil
-
-	case "srand":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
+	case bSrand:
 		if len(args) == 1 {
 			in.rngState = args[0].I
 		}
 		return RtVal{}, nil
 
-	case "assert":
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
+	default: // bAssert
 		if len(args) == 1 && !truthy(args[0]) {
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: "assertion failed"}
+			return RtVal{}, &RuntimeError{Line: n.line, Msg: "assertion failed"}
 		}
 		return RtVal{}, nil
-
-	case "exit":
-		return RtVal{}, &RuntimeError{Line: n.Line, Msg: "exit() called"}
-
-	default:
-		fn := in.prog.FindFunc(n.Name)
-		if fn == nil {
-			return RtVal{}, &RuntimeError{Line: n.Line, Msg: fmt.Sprintf("call to undefined function %q", n.Name)}
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return RtVal{}, err
-		}
-		return in.Call(n.Name, args...)
 	}
+}
+
+// noArgsErr rejects a call of a builtin that returns or reads its first
+// argument without one.
+func noArgsErr(n *node) (RtVal, error) {
+	return RtVal{}, &RuntimeError{Line: n.line, Msg: fmt.Sprintf("%s called without arguments", n.text)}
 }
 
 const maxCOutput = 1 << 20
 
-// cString reads a NUL-terminated cell string.
+// cString reads a NUL-terminated cell string; a null pointer or one
+// before the start of its buffer reads as an empty string.
 func cString(v RtVal) string {
+	if v.Buf == nil {
+		return ""
+	}
 	var b strings.Builder
-	for i := v.Off; i < len(v.Buf.data); i++ {
+	for i := v.Off; i >= 0 && i < len(v.Buf.data); i++ {
 		c := v.Buf.data[i]
 		if c == 0 {
 			break
@@ -1063,20 +1070,20 @@ func cString(v RtVal) string {
 }
 
 // printf implements the %d/%u/%x/%c/%s/%ld/%lu/%% verbs.
-func (fr *frame) printf(n *CallExpr) (RtVal, error) {
-	if len(n.Args) == 0 {
+func (fr *frame) printf(n *node) (RtVal, error) {
+	if len(n.args) == 0 {
 		return IntVal(0), nil
 	}
-	fmtv, err := fr.eval(n.Args[0])
+	fmtv, err := fr.eval(n.args[0])
 	if err != nil {
 		return RtVal{}, err
 	}
 	if !fmtv.IsPtr {
-		return RtVal{}, &RuntimeError{Line: n.Line, Msg: "printf format must be a string"}
+		return RtVal{}, &RuntimeError{Line: n.line, Msg: "printf format must be a string"}
 	}
 	format := cString(fmtv)
 	var args []RtVal
-	for _, a := range n.Args[1:] {
+	for _, a := range n.args[1:] {
 		v, err := fr.eval(a)
 		if err != nil {
 			return RtVal{}, err

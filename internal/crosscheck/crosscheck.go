@@ -92,7 +92,7 @@ func buildHarness(p *benchset.Problem, cModel string, nVectors int) (*refHarness
 	if nVectors <= 0 {
 		nVectors = 32
 	}
-	prog, err := chdl.ParseC(cModel)
+	prog, err := simfarm.ParseC(cModel)
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: C model does not parse: %w", err)
 	}

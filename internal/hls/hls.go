@@ -110,7 +110,7 @@ func Synthesize(prog *chdl.Program, fn string, opts Options) (*Design, error) {
 // Diagnostics returns all analyzer findings of a source file formatted as
 // HLS tool output; parse failures come back as a single diagnostic.
 func Diagnostics(source string) []string {
-	prog, err := chdl.ParseC(source)
+	prog, err := simfarm.ParseC(source)
 	if err != nil {
 		return []string{fmt.Sprintf("hls frontend: %v", err)}
 	}

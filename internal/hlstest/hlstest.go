@@ -24,6 +24,7 @@ import (
 	"llm4eda/internal/core"
 	"llm4eda/internal/hls"
 	"llm4eda/internal/llm"
+	"llm4eda/internal/simfarm"
 )
 
 // Config parameterizes a testing campaign.
@@ -99,7 +100,7 @@ func Run(ctx context.Context, source, tbSource, kernel string, seeds [][]int64, 
 		}
 	}
 
-	prog, err := chdl.ParseC(source)
+	prog, err := simfarm.ParseC(source)
 	if err != nil {
 		return nil, fmt.Errorf("hlstest: kernel does not parse: %w", err)
 	}

@@ -24,6 +24,7 @@ import (
 	"llm4eda/internal/hls"
 	"llm4eda/internal/llm"
 	"llm4eda/internal/rag"
+	"llm4eda/internal/simfarm"
 )
 
 // Config parameterizes the framework.
@@ -110,7 +111,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 	}
 
 	// Reference ("CPU") results for the original program, computed once.
-	origProg, err := chdl.ParseC(source)
+	origProg, err := simfarm.ParseC(source)
 	if err != nil {
 		return nil, fmt.Errorf("repair: original program does not parse: %w", err)
 	}
@@ -154,7 +155,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		prog, err := chdl.ParseC(current)
+		prog, err := simfarm.ParseC(current)
 		if err == nil {
 			design, err = hls.Synthesize(prog, kernel, cfg.HLSOptions)
 			if err == nil {
@@ -186,7 +187,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 	out.RepairedSource = current
 	if design == nil {
 		// One last try with whatever the loop produced.
-		if prog, err := chdl.ParseC(current); err == nil {
+		if prog, err := simfarm.ParseC(current); err == nil {
 			if d, err := hls.Synthesize(prog, kernel, cfg.HLSOptions); err == nil {
 				design, repairedProg = d, prog
 			}
@@ -234,7 +235,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 		out.PPAAfter = out.PPABefore
 		return out, nil
 	}
-	optProg, err := chdl.ParseC(resp.Text)
+	optProg, err := simfarm.ParseC(resp.Text)
 	if err != nil {
 		log("ppa-optimization", "optimized source does not parse; keeping baseline", false)
 		out.PPAAfter = out.PPABefore

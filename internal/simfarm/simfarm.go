@@ -1,13 +1,15 @@
 // Package simfarm is the compile-once/run-many simulation engine behind
 // every candidate-scoring framework in the suite (AutoChip, VRank,
 // crosscheck, the agent, HLS cosim, xdebug). It layers five
-// content-addressed, mutex-guarded LRU caches over the verilog front end —
+// content-addressed, mutex-guarded LRU caches over the verilog front end
+// and one over the C front end —
 //
 //	hash:    source text            -> content hash
 //	parse:   source hash            -> parsed module list
 //	design:  (sources, top)         -> elaborated CompiledDesign
 //	result:  (design, sim options)  -> SimResult
 //	lint:    (DUT source, DUT top)  -> static-analysis outcome
+//	cparse:  C source hash          -> parsed C Program
 //
 // — plus a bounded worker pool (RunMany) that simulates independent
 // candidates concurrently. Every layer probes through one singleflight
@@ -27,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"llm4eda/internal/chdl"
 	"llm4eda/internal/core"
 	"llm4eda/internal/faultinject"
 	"llm4eda/internal/obs"
@@ -42,6 +45,7 @@ const (
 	resultCap = 2048
 	hashCap   = 1024
 	lintCap   = 512
+	cparseCap = 256
 )
 
 // Farm owns the cache hierarchy. A single Farm is safe for concurrent use
@@ -60,6 +64,10 @@ type Farm struct {
 	// rejected by screening — simulations the farm never had to run.
 	lints       *lru
 	lintRejects atomic.Int64
+	// cparses memoizes C parses (keyed by content hash) for the callers
+	// that only read and interpret the Program: the C reference models
+	// of crosscheck, xdebug, hlstest and the repair flow.
+	cparses *lru
 
 	// panics counts worker panics recovered in runJobCtx — each one a
 	// simulation that would have killed the process before PR 9.
@@ -84,6 +92,7 @@ func New() *Farm {
 		results: newLRU(resultCap),
 		hashes:  newLRU(hashCap),
 		lints:   newLRU(lintCap),
+		cparses: newLRU(cparseCap),
 	}
 }
 
@@ -108,6 +117,8 @@ type FarmStats struct {
 	LintRejects int64
 	// Hashes is the source-hash memo's traffic.
 	Hashes Stats
+	// CParses is the C parse memo's traffic.
+	CParses Stats
 	// Panics counts worker panics recovered into Result.Err instead of
 	// crashing the process.
 	Panics int64
@@ -128,6 +139,7 @@ func (f *Farm) Stats() FarmStats {
 		Lints:       f.lints.snapshot(),
 		LintRejects: f.lintRejects.Load(),
 		Hashes:      f.hashes.snapshot(),
+		CParses:     f.cparses.snapshot(),
 		Panics:      f.panics.Load(),
 	}
 }
@@ -144,7 +156,7 @@ type LayerStats struct {
 func (s FarmStats) Layers() []LayerStats {
 	return []LayerStats{
 		{"parse", s.Parses}, {"design", s.Designs}, {"result", s.Results},
-		{"lint", s.Lints}, {"hash", s.Hashes},
+		{"lint", s.Lints}, {"hash", s.Hashes}, {"cparse", s.CParses},
 	}
 }
 
@@ -156,6 +168,7 @@ func (f *Farm) Purge() {
 	f.results.purge()
 	f.hashes.purge()
 	f.lints.purge()
+	f.cparses.purge()
 }
 
 // Delta returns the per-layer traffic between an earlier snapshot and s.
@@ -167,6 +180,7 @@ func (s FarmStats) Delta(earlier FarmStats) FarmStats {
 		Lints:       s.Lints.delta(earlier.Lints),
 		LintRejects: s.LintRejects - earlier.LintRejects,
 		Hashes:      s.Hashes.delta(earlier.Hashes),
+		CParses:     s.CParses.delta(earlier.CParses),
 		Panics:      s.Panics - earlier.Panics,
 	}
 }
@@ -213,6 +227,29 @@ func (f *Farm) parse(src string) (*verilog.SourceFile, error) {
 		return &parseResult{file: file, err: err}
 	}).(*parseResult)
 	return pr.file, pr.err
+}
+
+// cParseResult caches a C parse outcome; parse errors are cached too.
+type cParseResult struct {
+	prog *chdl.Program
+	err  error
+}
+
+// ParseC returns the cached parse of a C source, parsing on miss. Every
+// caller gets the same Program: read it and interpret it (concurrent
+// interpreters share it safely), but never edit it. A caller that
+// rewrites the tree parses privately with chdl.ParseC.
+func (f *Farm) ParseC(src string) (*chdl.Program, error) {
+	r := f.cparses.getOrCompute(f.sourceHash(src), func() any {
+		prog, err := chdl.ParseC(src)
+		return &cParseResult{prog: prog, err: err}
+	}).(*cParseResult)
+	return r.prog, r.err
+}
+
+// ParseC parses a C source through the default farm.
+func ParseC(src string) (*chdl.Program, error) {
+	return Default().ParseC(src)
 }
 
 // Compile returns the cached elaboration of the given sources under top,

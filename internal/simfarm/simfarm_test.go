@@ -127,7 +127,7 @@ func TestLRUEviction(t *testing.T) {
 // for the whole cache hierarchy.
 func TestConcurrentFarm(t *testing.T) {
 	// Tiny layers force evictions.
-	f := &Farm{parses: newLRU(8), designs: newLRU(4), results: newLRU(4), hashes: newLRU(16), lints: newLRU(8)}
+	f := &Farm{parses: newLRU(8), designs: newLRU(4), results: newLRU(4), hashes: newLRU(16), lints: newLRU(8), cparses: newLRU(4)}
 	const goroutines = 16
 	const iters = 25
 	var wg sync.WaitGroup

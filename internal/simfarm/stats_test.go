@@ -91,6 +91,7 @@ func TestRunManyCountersRepeat(t *testing.T) {
 		{"result", Stats{Hits: 32 - 12, Misses: 12, Computes: 12, Len: 12}},
 		{"lint", Stats{Hits: 32 - 6, Misses: 6, Computes: 6, Len: 6}},
 		{"hash", Stats{Hits: 64 + 32 + 18 - 7, Misses: 7, Computes: 7, Len: 7}},
+		{"cparse", Stats{}},
 	}
 	for run := 0; run < 20; run++ {
 		f := New()

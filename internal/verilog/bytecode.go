@@ -237,6 +237,11 @@ type lowerer struct {
 	// procedural is true for process bodies (reg-only write legality)
 	// and false for continuous assignments.
 	procedural bool
+
+	// visits counts the expression nodes lowering and folding looked
+	// at; lowering is linear when it stays a small multiple of the
+	// tree's size.
+	visits int
 }
 
 // lowererPool recycles lowerer scratch across programs and designs.
@@ -250,7 +255,7 @@ func getLowerer(d *Design, sc scope, procedural bool) *lowerer {
 	lw.code = lw.code[:0]
 	lw.consts = lw.consts[:0]
 	lw.slots = lw.slots[:0]
-	lw.maxStack, lw.nslots, lw.line = 0, 0, 0
+	lw.maxStack, lw.nslots, lw.line, lw.visits = 0, 0, 0, 0
 	if lw.litIntern == nil {
 		lw.litIntern = map[string]string{}
 	}
@@ -1039,26 +1044,34 @@ var constFusedOps = map[OpCode]OpCode{
 // expr lowers ex so its value lands in regs[dst]; scratch uses dst+1 and
 // above, so values already parked below dst stay live.
 func (lw *lowerer) expr(ex Expr, dst int32) {
-	lw.use(dst)
-	// Constant folding: literal/parameter operator trees evaluate once,
-	// here, with the applyUnary/applyBinary arithmetic every evaluator
-	// shares. Folding never crosses constructs with runtime effects.
-	if v, ok := lw.foldConst(ex); ok {
+	if v, ok := lw.lower(ex, dst); ok {
 		lw.emit(opConst, dst, lw.constant(v), 0, 0, lw.line)
-		return
 	}
+}
+
+// lower is expr with constant folding: a literal/parameter operator tree
+// evaluates here, with the applyUnary/applyBinary arithmetic every
+// evaluator shares, and comes back as its value with nothing emitted, so
+// the caller folds it into its own constant or a constant-operand
+// opcode. Folding is bottom-up: each node is visited once, and an
+// operator whose operands both fold takes back the one instruction and
+// constant its left operand emitted. Folding never crosses constructs
+// with runtime effects.
+func (lw *lowerer) lower(ex Expr, dst int32) (Value, bool) {
+	lw.visits++
+	lw.use(dst)
 	switch n := ex.(type) {
 	case *Number:
-		lw.emit(opConst, dst, lw.constant(n.Val), 0, 0, lw.line)
+		return n.Val, true
 
 	case *boundParam:
-		lw.emit(opConst, dst, lw.constant(n.val), 0, 0, lw.line)
+		return n.val, true
 
 	case *boundRef:
 		sig := lw.d.Signals[n.sig]
 		if sig.Words > 1 {
 			lw.emitErr("memory %q used without an index at line %d", n.name, n.line)
-			return
+			break
 		}
 		lw.emit(opLoadSig, dst, int32(sig.ID), 0, 0, lw.line)
 
@@ -1072,25 +1085,45 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		op, ok := unaryOps[n.Op]
 		if !ok {
 			lw.emitErr("verilog: unsupported unary operator %q", n.Op)
-			return
+			break
 		}
-		lw.expr(n.X, dst)
+		if x, isConst := lw.lower(n.X, dst); isConst {
+			if v, err := applyUnary(n.Op, x); err == nil {
+				return v, true
+			}
+			lw.emit(opConst, dst, lw.constant(x), 0, 0, lw.line)
+		}
 		lw.emit(op, dst, 0, 0, 0, lw.line)
 
 	case *Binary:
 		op, ok := binaryOps[n.Op]
 		if !ok {
 			lw.emitErr("verilog: unsupported binary operator %q", n.Op)
-			return
+			break
 		}
-		lw.expr(n.X, dst)
-		if kop, fusible := constFusedOps[op]; fusible {
-			if y, isConst := lw.foldConst(n.Y); isConst {
-				lw.emit(kop, dst, lw.constant(y), 0, 0, lw.line)
-				return
+		mark, pool, depth := lw.here(), len(lw.consts), lw.maxStack
+		x, xConst := lw.lower(n.X, dst)
+		if xConst {
+			lw.emit(opConst, dst, lw.constant(x), 0, 0, lw.line)
+		}
+		yDepth := lw.maxStack
+		y, yConst := lw.lower(n.Y, dst+1)
+		if xConst && yConst {
+			if v, err := applyBinary(n.Op, x, y); err == nil {
+				// A constant operand emits nothing, so the left
+				// operand's constant is all there is to take back.
+				lw.code, lw.consts, lw.maxStack = lw.code[:mark], lw.consts[:pool], depth
+				return v, true
 			}
 		}
-		lw.expr(n.Y, dst+1)
+		if yConst {
+			if kop, fusible := constFusedOps[op]; fusible {
+				lw.maxStack = yDepth
+				lw.emit(kop, dst, lw.constant(y), 0, 0, lw.line)
+				break
+			}
+			lw.emit(opConst, dst+1, lw.constant(y), 0, 0, lw.line)
+		}
 		lw.emit(op, dst, dst+1, 0, 0, lw.line)
 
 	case *Ternary:
@@ -1127,20 +1160,25 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		if ref, ok := n.X.(*boundRef); ok && lw.d.Signals[ref.sig].Words > 1 {
 			lw.expr(n.Idx, dst)
 			lw.emit(opLoadMem, dst, int32(ref.sig), dst, 0, lw.line)
-			return
+			break
 		}
 		lw.expr(n.X, dst)
-		if iv, ok := lw.foldConst(n.Idx); ok && iv.IsFullyKnown() {
+		depth := lw.maxStack
+		iv, idxConst := lw.lower(n.Idx, dst+1)
+		if idxConst && iv.IsFullyKnown() {
 			// Constant bit index — the dominant shape in bit-sliced RTL
 			// (sum chains, priority encoders): one opcode.
+			lw.maxStack = depth
 			c := int32(-1) // out of range for any width; exec yields X
 			if idx := iv.Uint(); idx < 64 {
 				c = int32(idx)
 			}
 			lw.emit(opBitSelK, dst, 0, c, 0, lw.line)
-			return
+			break
 		}
-		lw.expr(n.Idx, dst+1)
+		if idxConst {
+			lw.emit(opConst, dst+1, lw.constant(iv), 0, 0, lw.line)
+		}
 		lw.emit(opBitSel, dst, dst+1, 0, 0, lw.line)
 
 	case *PartSelect:
@@ -1148,13 +1186,13 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 			lw.expr(n.X, dst)
 			if mv < lv || mv-lv+1 > 64 {
 				lw.emitErr("bad part-select [%d:%d] at line %d", mv, lv, n.Line)
-				return
+				break
 			}
 			// An LSB past bit 63 selects zeros, as opPartSel's shift does;
 			// clamping keeps a huge LSB from wrapping in the int32 operand.
 			lsb := int32(min(uint64(lv), 64))
 			lw.emit(opPartSelK, dst, 0, lsb, int32(mv-lv+1), lw.line)
-			return
+			break
 		}
 		lw.expr(n.X, dst)
 		lw.expr(n.MSB, dst+1)
@@ -1170,7 +1208,7 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 		case "$clog2":
 			if len(n.Args) != 1 {
 				lw.emitErr("$clog2 takes one argument")
-				return
+				break
 			}
 			lw.expr(n.Args[0], dst)
 			lw.emit(opClog2, dst, 0, 0, 0, lw.line)
@@ -1181,6 +1219,7 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 	default:
 		lw.emitErr("unsupported expression %T", ex)
 	}
+	return Value{}, false
 }
 
 // foldConst evaluates literal/parameter-only operator trees at compile
@@ -1188,6 +1227,7 @@ func (lw *lowerer) expr(ex Expr, dst int32) {
 // semantics are runtime behavior) and stops at anything that is not a
 // pure operator over constants.
 func (lw *lowerer) foldConst(ex Expr) (Value, bool) {
+	lw.visits++
 	switch n := ex.(type) {
 	case *Unary:
 		x, ok := lw.foldConst(n.X)

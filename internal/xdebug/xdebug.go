@@ -212,7 +212,7 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 	if nVectors <= 0 {
 		nVectors = 24
 	}
-	prog, err := chdl.ParseC(cModel)
+	prog, err := simfarm.ParseC(cModel)
 	if err != nil {
 		return nil, fmt.Errorf("xdebug: C model does not parse: %w", err)
 	}
