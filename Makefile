@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check lint-go test test-short test-race golden fuzz-smoke bench bench-check bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
+.PHONY: all build vet fmt-check lint-go test test-short test-race golden fuzz-smoke bench-check bench-smoke serve-smoke chaos-test chaos-smoke ci
 
 all: build
 
@@ -81,36 +81,11 @@ test-race:
 	$(GO) test -race -short -skip '^TestChaosSurvival$$' ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls ./internal/benchset ./internal/chdl ./internal/hlstest ./internal/repair
 	$(GO) test -race -short -run '^TestChaosSurvival$$' ./internal/edaserver
 
-# Regenerate every paper artifact at quick scale.
-bench:
-	$(GO) test -run 'xxx' -bench . -benchtime 1x .
-
 # The repository benchmark (perfbench/) is a Go module of its own, so the
 # root `go build ./...` never compiles it: vet it and run its tests
 # (every workload briefly, in both modes) against the current tree.
 bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-
-# The compile-once/run-many engine comparison (see EXPERIMENTS.md).
-bench-engine:
-	$(GO) test -run 'xxx' -bench 'BenchmarkVRank' -benchtime 5x .
-
-# Record the benchmark trajectory point: the engine comparison, the
-# kernel micro-benchmarks, and the compile/VM-dispatch micro-benchmarks,
-# with -benchmem so allocation behavior (the VM's pooled scratch buffers)
-# is part of the history. Emitted as BENCH_<date>.json in the repo root;
-# each PR that touches the engine commits the file it produces, and the
-# sequence of BENCH_*.json files is the performance history.
-bench-json:
-	@set -e; out=$$(mktemp); \
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkVRank|BenchmarkCompile|BenchmarkVMDispatch|BenchmarkLint|BenchmarkObs' \
-	  -benchmem -benchtime 5x . > "$$out" \
-	  || { cat "$$out"; rm -f "$$out"; echo "bench-json: benchmark run failed" >&2; exit 1; }; \
-	awk -v date="$$(date +%F)" 'BEGIN { printf "{\n  \"date\": \"%s\",\n  \"benchmarks\": [", date; n=0 } \
-	  /^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-	    if (n++) printf ","; printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s}", name, $$2, $$3, $$5, $$7 } \
-	  END { printf "\n  ]\n}\n" }' "$$out" > BENCH_$$(date +%F).json; \
-	rm -f "$$out"; cat BENCH_$$(date +%F).json
 
 # Benchmark-regression smoke: one BenchmarkVRankBatch pass must not be
 # slower than 2x the committed baseline (BENCH_BASELINE, override to
@@ -163,56 +138,6 @@ serve-smoke:
 	  cat "$$tmp/serve.log" >&2; exit 1; }; \
 	echo "serve-smoke: ok (submit, stream, cached resubmit, clean drain)"
 
-# Traffic-shaped load run: boot a serve, drive the mixed workload from
-# `llm4eda loadgen` (hot duplicates, cold uniques, cancellations, live
-# SSE subscribers), and record submit-to-terminal latency percentiles,
-# queue-wait distribution and cache-hit rates as LOAD_<date>.json in the
-# repo root — commit the file; the LOAD_*.json sequence is the service
-# latency history. The port is fixed; override LOAD_ADDR when it clashes.
-LOAD_ADDR ?= 127.0.0.1:18373
-LOAD_JOBS ?= 150
-load-test:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/llm4eda" ./cmd/llm4eda; \
-	"$$tmp/llm4eda" serve -addr $(LOAD_ADDR) -queue 256 > "$$tmp/serve.log" 2>&1 & \
-	pid=$$!; \
-	if ! "$$tmp/llm4eda" loadgen -addr http://$(LOAD_ADDR) -jobs $(LOAD_JOBS); then \
-	  echo "load-test: loadgen failed; server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; kill "$$pid" 2>/dev/null || true; exit 1; fi; \
-	kill -TERM "$$pid"; \
-	if ! wait "$$pid"; then \
-	  echo "load-test: server did not exit cleanly; log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
-	grep -q "drained, bye" "$$tmp/serve.log" || { \
-	  echo "load-test: no clean-drain marker in server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; exit 1; }
-
-# The same harness at reduced scale with the smoke assertions armed
-# (p99 recorded, report-cache hits observed, zero failed jobs, metrics
-# scrape well-formed) and the report written to a scratch path — a
-# deterministic few-second gate, part of `make ci`.
-load-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/llm4eda" ./cmd/llm4eda; \
-	"$$tmp/llm4eda" serve -addr $(LOAD_ADDR) > "$$tmp/serve.log" 2>&1 & \
-	pid=$$!; \
-	if ! "$$tmp/llm4eda" loadgen -addr http://$(LOAD_ADDR) -jobs 30 -clients 4 \
-	    -smoke -out "$$tmp/load.json"; then \
-	  echo "load-smoke: loadgen failed; server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; kill "$$pid" 2>/dev/null || true; exit 1; fi; \
-	kill -TERM "$$pid"; \
-	if ! wait "$$pid"; then \
-	  echo "load-smoke: server did not exit cleanly; log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
-	grep -q "drained, bye" "$$tmp/serve.log" || { \
-	  echo "load-smoke: no clean-drain marker in server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; exit 1; }; \
-	echo "load-smoke: ok (mixed traffic, smoke assertions, clean drain)"
-
 # Chaos acceptance: mixed realistic traffic against the seeded fault
 # plan (worker/pipeline panics, transient errors, wedged stages, slow
 # simulations, SSE disconnects, report-store write failures). Asserts
@@ -227,4 +152,4 @@ chaos-test:
 chaos-smoke:
 	$(GO) test -run TestChaosSurvival -short -timeout 120s ./internal/edaserver
 
-ci: build vet fmt-check lint-go test-short golden fuzz-smoke test-race chaos-smoke serve-smoke load-smoke bench-check
+ci: build vet fmt-check lint-go test-short golden fuzz-smoke test-race chaos-smoke serve-smoke bench-check

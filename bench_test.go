@@ -1,10 +1,11 @@
 package llm4eda
 
-// The benchmark harness: one testing.B target per reproduced paper
-// artifact (figures 1-6 and the in-text results of §II, §IV and §V).
-// Each bench runs the corresponding experiment at quick scale and logs
-// the regenerated rows; `cmd/llm4eda exp all -full` produces the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// Micro-benchmarks of the layers under the paper artifacts: the
+// compile-once/run-many engine, the simulator kernel, the compiler and
+// VM dispatch, the lint screen, the §V scoring pool and the telemetry
+// off-path. Run them with `go test -run '^$' -bench . .`. End-to-end
+// numbers come from perfbench/ (`bash perfbench/run.sh`); the E1–E12
+// rows come from `llm4eda exp` and are pinned by `make golden`.
 
 import (
 	"context"
@@ -12,7 +13,6 @@ import (
 
 	"llm4eda/internal/benchset"
 	"llm4eda/internal/boom"
-	"llm4eda/internal/experiments"
 	"llm4eda/internal/llm"
 	"llm4eda/internal/obs"
 	"llm4eda/internal/simfarm"
@@ -21,63 +21,6 @@ import (
 	"llm4eda/internal/vlint"
 	"llm4eda/internal/vrank"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r := experiments.Runner{Scale: experiments.ScaleQuick, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		exp, err := r.ByID(context.Background(), id)
-		if err != nil {
-			b.Fatalf("experiment %s: %v", id, err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", exp.Render())
-		}
-		if len(exp.Rows) == 0 {
-			b.Fatalf("experiment %s produced no rows", id)
-		}
-	}
-}
-
-// BenchmarkFig1FullFlow regenerates the Fig. 1 flow trace (E1).
-func BenchmarkFig1FullFlow(b *testing.B) { runExperiment(b, "E1") }
-
-// BenchmarkFig2HLSRepair regenerates the Fig. 2 repair results (E2).
-func BenchmarkFig2HLSRepair(b *testing.B) { runExperiment(b, "E2") }
-
-// BenchmarkFig3DiscrepancyTesting regenerates the Fig. 3 results (E3).
-func BenchmarkFig3DiscrepancyTesting(b *testing.B) { runExperiment(b, "E3") }
-
-// BenchmarkFig4AutoChip regenerates the AutoChip grid (E4).
-func BenchmarkFig4AutoChip(b *testing.B) { runExperiment(b, "E4") }
-
-// BenchmarkSec4StructuredFlow regenerates the 8-design flow study (E5).
-func BenchmarkSec4StructuredFlow(b *testing.B) { runExperiment(b, "E5") }
-
-// BenchmarkFig5SLTvsGP regenerates the §V LLM-vs-GP comparison (E6).
-func BenchmarkFig5SLTvsGP(b *testing.B) { runExperiment(b, "E6") }
-
-// BenchmarkFig6Agent regenerates the Fig. 6 agent session (E7).
-func BenchmarkFig6Agent(b *testing.B) { runExperiment(b, "E7") }
-
-// BenchmarkSec5Ablations regenerates the §V ablations (E8).
-func BenchmarkSec5Ablations(b *testing.B) { runExperiment(b, "E8") }
-
-// BenchmarkSec2VRank regenerates the VRank comparison (E9).
-func BenchmarkSec2VRank(b *testing.B) { runExperiment(b, "E9") }
-
-// BenchmarkSec2LLSM regenerates the LLSM synthesis-assist result (E10).
-func BenchmarkSec2LLSM(b *testing.B) { runExperiment(b, "E10") }
-
-// BenchmarkSec6CrossLevelDebug regenerates the cross-level debugging
-// evaluation (E11).
-func BenchmarkSec6CrossLevelDebug(b *testing.B) { runExperiment(b, "E11") }
-
-// BenchmarkE12LintScreening regenerates the static-analysis evaluation
-// (E12): mutant detection, lint-guided repair, screening savings. (Named
-// so the `BenchmarkLint` micro-benchmark pattern of bench-json does not
-// pull the whole experiment into the trajectory record.)
-func BenchmarkE12LintScreening(b *testing.B) { runExperiment(b, "E12") }
 
 // --- compile-once/run-many engine benchmarks ---------------------------
 //
@@ -205,8 +148,7 @@ func BenchmarkVRankBatch(b *testing.B) {
 // propagation-bound (continuous-assign fanout per input change), and
 // ProcessChurn is wake-ordering-bound (many event-waiting processes per
 // edge). Together they cover the three regions the kernel overhaul
-// rearchitected; `make bench-json` records them into the BENCH_*.json
-// trajectory.
+// rearchitected.
 
 func compileKernelBench(b *testing.B, src string) *verilog.CompiledDesign {
 	b.Helper()
@@ -360,8 +302,7 @@ func BenchmarkKernelProbeOn(b *testing.B) { runKernelProbeBench(b, true) }
 // BenchmarkCompile measures the full front end — lex, parse, elaborate,
 // and the bytecode lowering pass — on a representative DUT+testbench
 // pair, so the compile-time cost the lowering stage added to
-// verilog.Compile stays tracked in the BENCH_*.json trajectory alongside
-// the run-time wins it buys.
+// verilog.Compile is measured alongside the run-time wins it buys.
 func BenchmarkCompile(b *testing.B) {
 	p := benchset.ByID("alu8")
 	src := p.Reference + "\n" + p.Testbench()
@@ -408,8 +349,7 @@ endmodule`)
 // the marginal cost when the farm's parse cache is warm. EndToEnd is
 // the cache-cold path: lex, parse, elaborate, then analyze. Both run on
 // the suite's richest reference (alu8); compare against
-// BenchmarkKernelSeqClock for the screen-vs-simulate ratio recorded in
-// the BENCH_*.json trajectory.
+// BenchmarkKernelSeqClock for the screen-vs-simulate ratio.
 func BenchmarkLintAnalysis(b *testing.B) {
 	p := benchset.ByID("alu8")
 	file, err := verilog.Parse(p.Reference)

@@ -29,7 +29,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8372", "listen address")
 	workers := fs.Int("workers", 0, "job-queue workers (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued-job bound before 429 backpressure (0 = default 64)")
-	reports := fs.Int("reports", 0, "content-addressed report-store entries (0 = default 256)")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")
 	watchdog := fs.Duration("watchdog", 0, "per-job event-staleness window; a running job silent this long is cancelled as wedged (0 = off)")
 	faults := fs.String("faults", "", "chaos fault plan, inline JSON or @file (testing only; see internal/faultinject)")
@@ -74,7 +73,6 @@ func cmdServe(args []string) error {
 	srv := edaserver.New(edaserver.Options{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		ReportCap:  *reports,
 		Watchdog:   *watchdog,
 		Faults:     injector,
 		Log:        logger,

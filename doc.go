@@ -68,13 +68,14 @@
 // queue_wait → lint_screen → compile → sim → store_write breakdown in
 // its status and SSE end frame, and GET /v1/metrics exports the whole
 // stack — job and phase latency quantiles, queue depth, farm cache
-// layers, resilience counters — in Prometheus text format. `llm4eda
-// loadgen` / `make load-test` drive a live server with shaped traffic
-// and record the latency history as committed LOAD_<date>.json files. See DESIGN.md "Observability".
+// layers, resilience counters — in Prometheus text format. The
+// repository benchmark, perfbench/, drives a live server and an
+// in-process batch and reports end-to-end and per-layer numbers. See
+// DESIGN.md "Observability".
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmark harness in
-// bench_test.go regenerates every figure and in-text result; the same
-// experiments run standalone via cmd/llm4eda, whose subcommand table is
+// EXPERIMENTS.md for paper-vs-measured results. `llm4eda exp`
+// regenerates every figure and in-text result, and `make golden` pins
+// the quick-scale rows byte for byte; the CLI's subcommand table is
 // generated from the eda registry.
 package llm4eda

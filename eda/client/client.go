@@ -395,30 +395,6 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Metrics fetches GET /v1/metrics verbatim: the server's full telemetry
-// surface in Prometheus text exposition format. Left as text on purpose
-// — the caller is a scraper (or the load harness checking the endpoint
-// answers), not a JSON consumer.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", decodeError(resp)
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
 // errBadFrame marks a malformed SSE event frame — a protocol error, not
 // a transport flake, so Events does not reconnect over it.
 var errBadFrame = errors.New("client: bad event frame")

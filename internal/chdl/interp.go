@@ -67,8 +67,6 @@ func newScalar(t *Type, v int64) *varSlot {
 type InterpOptions struct {
 	// MaxSteps bounds executed statements+expressions (default 20_000_000).
 	MaxSteps int64
-	// Seed seeds rand().
-	Seed int64
 }
 
 // Interp executes a parsed program. One Interp may run many calls; globals
@@ -105,7 +103,7 @@ func NewInterp(prog *Program, opts InterpOptions) (*Interp, error) {
 	in := &Interp{
 		lay:         prog.resolved(),
 		opts:        opts,
-		rngState:    opts.Seed*6364136223846793005 + 1442695040888963407,
+		rngState:    1442695040888963407, // until srand() reseeds rand()
 		BranchCount: map[int]int64{},
 	}
 	// Globals initialize in a frame of their own, whose slots then

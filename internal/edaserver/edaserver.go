@@ -48,6 +48,18 @@ import (
 	"llm4eda/internal/obs"
 )
 
+// The server's fixed sizes.
+const (
+	// reportCap bounds the content-addressed report store.
+	reportCap = 256
+	// jobCap bounds the job table; the oldest finished jobs are evicted
+	// past it. Evicted job ids answer 404.
+	jobCap = 4096
+	// eventHistory bounds each job's event replay ring; an SSE
+	// subscriber arriving late replays at most this many events.
+	eventHistory = 4096
+)
+
 // Options configure one Server. Zero values select defaults sized for a
 // single-host deployment.
 type Options struct {
@@ -57,14 +69,6 @@ type Options struct {
 	// QueueDepth bounds queued-but-unstarted jobs (default 64).
 	// Submissions beyond it are rejected with 429.
 	QueueDepth int
-	// ReportCap bounds the content-addressed report store (default 256).
-	ReportCap int
-	// JobCap bounds the job table; the oldest finished jobs are evicted
-	// past it (default 4096). Evicted job ids answer 404.
-	JobCap int
-	// EventHistory bounds each job's event replay ring (default 4096);
-	// an SSE subscriber arriving late replays at most this many events.
-	EventHistory int
 	// Registry resolves frameworks (default eda.DefaultRegistry()).
 	Registry *eda.Registry
 	// Watchdog, when positive, arms a per-job staleness watchdog: a
@@ -81,6 +85,10 @@ type Options struct {
 	// Log receives structured job-lifecycle logs, every record carrying
 	// the job id for correlation. Default: discard.
 	Log *slog.Logger
+
+	// Tests shrink the fixed sizes through these (export_test.go); zero
+	// selects the constant of the same name.
+	reportCap, jobCap, eventHistory int
 }
 
 func (o Options) withDefaults() Options {
@@ -90,14 +98,14 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.ReportCap <= 0 {
-		o.ReportCap = 256
+	if o.reportCap <= 0 {
+		o.reportCap = reportCap
 	}
-	if o.JobCap <= 0 {
-		o.JobCap = 4096
+	if o.jobCap <= 0 {
+		o.jobCap = jobCap
 	}
-	if o.EventHistory <= 0 {
-		o.EventHistory = 4096
+	if o.eventHistory <= 0 {
+		o.eventHistory = eventHistory
 	}
 	if o.Registry == nil {
 		o.Registry = eda.DefaultRegistry()
@@ -168,7 +176,7 @@ func New(opts Options) *Server {
 		mux:     http.NewServeMux(),
 		jobs:    make(map[string]*job),
 		running: make(map[string]bool),
-		store:   newReportStore(opts.ReportCap),
+		store:   newReportStore(opts.reportCap),
 		metrics: newServerMetrics(),
 		log:     opts.Log,
 	}
@@ -506,7 +514,7 @@ func (s *Server) completeFromCache(jb *job, e *reportEntry) {
 }
 
 // newJob registers and counts a submitted job for a validated spec,
-// evicting the oldest finished jobs past JobCap. A job bound for the
+// evicting the oldest finished jobs past jobCap. A job bound for the
 // queue (enqueue true) is admitted first: while draining or with the
 // queue full it is rejected before it enters the job table. The
 // registration note is emitted before mu is released, so it precedes any
@@ -527,7 +535,7 @@ func (s *Server) newJob(spec eda.Spec, key string, enqueue bool) (*job, error) {
 		spec:    spec,
 		created: time.Now().UTC(),
 		state:   stateQueued,
-		events:  newBroadcaster(s.opts.EventHistory),
+		events:  newBroadcaster(s.opts.eventHistory),
 		spans:   obs.NewSpans(obs.JobPhases()...),
 	}
 	jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: spec.Framework,
@@ -540,7 +548,7 @@ func (s *Server) newJob(spec eda.Spec, key string, enqueue bool) (*job, error) {
 	// live jobs (QueueDepth + Workers) besides those it evicts.
 	var live []string
 	scanned := 0
-	for ; len(s.jobs) > s.opts.JobCap && scanned < len(s.order); scanned++ {
+	for ; len(s.jobs) > s.opts.jobCap && scanned < len(s.order); scanned++ {
 		if id := s.order[scanned]; s.jobs[id].terminal() {
 			delete(s.jobs, id)
 		} else {

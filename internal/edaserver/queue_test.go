@@ -78,7 +78,7 @@ func TestSchedulerInvariants(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h := newHarness(t, edaserver.Options{Workers: workers, QueueDepth: depth, ReportCap: 1, Registry: reg})
+	h := newHarness(t, edaserver.WithReportCap(edaserver.Options{Workers: workers, QueueDepth: depth, Registry: reg}, 1))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -309,7 +309,7 @@ func TestSSEAfterQueryReplay(t *testing.T) {
 // holding exactly the retained tail.
 func TestDroppedEventsSurfaced(t *testing.T) {
 	const history = 4
-	h := newHarness(t, edaserver.Options{Workers: 1, EventHistory: history})
+	h := newHarness(t, edaserver.WithEventHistory(edaserver.Options{Workers: 1}, history))
 	ctx := context.Background()
 
 	job, err := h.c.Submit(ctx, quickSpec(41))

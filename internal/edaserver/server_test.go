@@ -685,7 +685,7 @@ func TestUnknownJob(t *testing.T) {
 	assert404(err, "Events")
 }
 
-// TestJobCapEvictsOldestFinished: past JobCap the oldest finished jobs
+// TestJobCapEvictsOldestFinished: past the job cap the oldest finished jobs
 // leave the table and answer 404, the newest stay, and a job still
 // running is never evicted however old it is.
 func TestJobCapEvictsOldestFinished(t *testing.T) {
@@ -698,7 +698,7 @@ func TestJobCapEvictsOldestFinished(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h := newHarness(t, edaserver.Options{Workers: 2, JobCap: 4, Registry: reg})
+	h := newHarness(t, edaserver.WithJobCap(edaserver.Options{Workers: 2, Registry: reg}, 4))
 	ctx := context.Background()
 	parked, err := h.c.Submit(ctx, eda.Spec{Framework: "block"})
 	if err != nil {

@@ -293,8 +293,6 @@ func resultKey(hash string, opts verilog.SimOptions) string {
 	b = append(b, '|')
 	b = strconv.AppendUint(b, opts.MaxSteps, 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(opts.MaxDeltas), 10)
-	b = append(b, '|')
 	b = strconv.AppendUint(b, opts.Seed, 10)
 	return string(b)
 }

@@ -85,11 +85,11 @@ type Design struct {
 	// Run-time layout, computed once at elaboration and shared by every
 	// Simulator over this design (the compile-once/run-many split):
 	// sigAssigns[id] lists the continuous assignments that read signal id
-	// (in assign order, duplicates preserved — delta accounting matches
-	// the per-run map the seed kernel built); wordOffset[id]/totalWords
-	// pack every signal's words into one backing array so a fresh
-	// Simulator is a single allocation, not one per signal. wordOffset has
-	// a trailing sentinel: a signal's word count is the offset delta.
+	// (in assign order, each once however often it reads id);
+	// wordOffset[id]/totalWords pack every signal's words into one
+	// backing array so a fresh Simulator is a single allocation, not one
+	// per signal. wordOffset has a trailing sentinel: a signal's word
+	// count is the offset delta.
 	sigAssigns [][]int32
 	wordOffset []int32
 	totalWords int
@@ -147,6 +147,11 @@ func (d *Design) finalizeLayout() {
 	d.sigAssigns = make([][]int32, len(d.Signals))
 	for i, ca := range d.assigns {
 		for _, sig := range ca.reads {
+			// One assign's entries are appended together, so a repeat
+			// read of sig finds i at the end of its list.
+			if l := d.sigAssigns[sig]; len(l) > 0 && l[len(l)-1] == int32(i) {
+				continue
+			}
 			d.sigAssigns[sig] = append(d.sigAssigns[sig], int32(i))
 		}
 	}

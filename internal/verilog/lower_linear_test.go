@@ -11,11 +11,9 @@ import (
 // expr re-ran the constant folder at every node and the folder walked
 // the subtree again, so a chain of n operators took O(n²) visits (an
 // 8,000-operator assign took 0.7 s to compile, a 100,000-operator one
-// over a minute). The bound here is on visits, not wall time. Chains
-// that read a once must also simulate to the right value; the sum of
-// 100,001 reads of a compiles, but every read schedules the assign again
-// on a change of a (delta accounting counts each one), so it runs into
-// the delta limit by design and is not simulated.
+// over a minute). The bound here is on visits, not wall time. Every
+// chain must also simulate to the right value; the sum reads a 100,001
+// times and still runs its assign once per change of a.
 func TestLoweringLinearInExpressionSize(t *testing.T) {
 	const n = 100_000
 	cases := []struct {
@@ -23,7 +21,8 @@ func TestLoweringLinearInExpressionSize(t *testing.T) {
 		nodes     int
 		want      string
 	}{
-		{"sum", "a" + strings.Repeat(" + a", n), 2*n + 1, ""},
+		// 3 × (n+1) mod 256 with a = 3.
+		{"sum", "a" + strings.Repeat(" + a", n), 2*n + 1, fmt.Sprint(3 * (n + 1) % 256)},
 		// a + n mod 256 with a = 3.
 		{"offset", "a" + strings.Repeat(" + 1", n), 2*n + 1, fmt.Sprint((n + 3) % 256)},
 		// An even number of complements is the identity.
@@ -38,11 +37,9 @@ func TestLoweringLinearInExpressionSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if c.want != "" {
-			res, err := cd.Run(SimOptions{})
-			if err != nil || res.Output != c.want+"\n" {
-				t.Errorf("%s: output %q, err %v; want %s", c.name, res.Output, err, c.want)
-			}
+		res, err := cd.Run(SimOptions{})
+		if err != nil || res.Output != c.want+"\n" {
+			t.Errorf("%s: output %q, err %v; want %s", c.name, res.Output, err, c.want)
 		}
 		ca := cd.Design.assigns[0]
 		lw := getLowerer(cd.Design, ca.scope, false)

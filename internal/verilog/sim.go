@@ -17,11 +17,13 @@ type SimOptions struct {
 	MaxTime uint64
 	// MaxSteps bounds executed behavioral statements (default 4_000_000).
 	MaxSteps uint64
-	// MaxDeltas bounds delta cycles within one timestep (default 10_000).
-	MaxDeltas int
 	// Seed seeds $random.
 	Seed uint64
 }
+
+// maxDeltas bounds the continuous-assign evaluations of one propagation
+// wave, so a combinational loop ends the run with a diagnostic.
+const maxDeltas = 10_000
 
 // Normalized returns the options with every zero value replaced by its
 // default — the form NewSimulator actually runs under. Cache layers key
@@ -35,9 +37,6 @@ func (o SimOptions) withDefaults() SimOptions {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 4_000_000
-	}
-	if o.MaxDeltas == 0 {
-		o.MaxDeltas = 10_000
 	}
 	return o
 }
@@ -508,7 +507,7 @@ type changeRec struct {
 // commitWrite applies a masked write to a signal word and, unless a
 // propagation wave is already running, drains the resulting change queue:
 // waking matching event waiters and re-evaluating dependent continuous
-// assignments. Propagation is iterative and bounded by MaxDeltas so that
+// assignments. Propagation is iterative and bounded by maxDeltas so that
 // combinational loops become diagnostics instead of stack overflows.
 func (s *Simulator) commitWrite(sig SignalID, word int, mask uint64, v Value) {
 	off := s.design.wordOffset[sig]
@@ -595,10 +594,10 @@ func (s *Simulator) flush() {
 		s.wakeWatchers(c)
 		for _, idx := range s.design.sigAssigns[c.sig] {
 			deltas++
-			if deltas > s.opts.MaxDeltas {
+			if deltas > maxDeltas {
 				if s.rtErr == nil {
 					s.rtErr = fmt.Errorf("verilog: combinational loop detected near line %d (delta limit %d)",
-						s.design.assigns[idx].line, s.opts.MaxDeltas)
+						s.design.assigns[idx].line, maxDeltas)
 				}
 				s.changed = s.changed[:0]
 				s.changedHead = 0

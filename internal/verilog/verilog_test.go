@@ -439,7 +439,7 @@ module tb;
     #10 $finish;
   end
 endmodule`
-	res, err := CompileAndRun(src, "tb", SimOptions{MaxDeltas: 100})
+	res, err := CompileAndRun(src, "tb", SimOptions{})
 	if err != nil {
 		t.Fatalf("CompileAndRun: %v", err)
 	}

@@ -267,11 +267,13 @@ func TestVMMatchesTreeEvaluatorOnFoldedPartSelects(t *testing.T) {
 // own first store's t=0 propagation wave re-evaluates the same assign
 // must behave exactly like the tree kernel's per-entry locals — the
 // nested evaluation may not clobber the outer frame's still-live RHS
-// registers. The $random stream is the sensitive observable: the tree
-// kernel's stale-slice store triggers two extra evaluation waves (each
-// drawing one $random from the masked term), so a later draw in the
-// initial block lands on a different stream position if the VM skips
-// them. Expected bytes captured from the pre-VM kernel at Seed 7.
+// registers. The $random stream is the sensitive observable: each
+// evaluation draws one $random from the masked term, and the stale-slice
+// stores re-enter the assign four times inside its first evaluation, so
+// the initial block's draw is the sixth of the stream and moves if the
+// VM skips or adds a wave. Expected bytes captured from the pre-VM
+// kernel at Seed 7, then moved one draw earlier when an assign that
+// reads y twice came to be scheduled once per change of y, not twice.
 func TestSelfDependentConcatAssignReentry(t *testing.T) {
 	src := `module tb;
   wire [1:0] y;
@@ -291,7 +293,7 @@ endmodule`
 	if res.RuntimeErr != nil || !res.Finished || res.EndTime != 2 {
 		t.Fatalf("run diverged: %+v", res)
 	}
-	want := "tb.r=32'b11111011100010111001111111101000\ntb.y=2'b01\ntb.z=1'b0\n"
+	want := "tb.r=32'b01011100111111011001100001110101\ntb.y=2'b01\ntb.z=1'b0\n"
 	if got := FormatSignals(res, "tb."); got != want {
 		t.Fatalf("finals diverged from the tree kernel:\n got %q\nwant %q", got, want)
 	}
