@@ -111,19 +111,18 @@ func BenchmarkVRankSerial(b *testing.B) {
 // intra-workload compile/run sharing — not warm-cache residue.
 func BenchmarkVRankBatch(b *testing.B) {
 	problems, cands := vrankWorkload()
-	sim := verilog.SimOptions{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		simfarm.Default().Purge()
 		for pi, p := range problems {
 			tb := p.Testbench()
 			for _, batch := range cands[pi] {
-				sigs, _ := vrank.Signatures(context.Background(), p, batch, sim, 0)
+				sigs, _ := vrank.Signatures(context.Background(), p, batch, 0)
 				jobs := make([]simfarm.Job, len(batch))
 				for j, src := range batch {
-					jobs[j] = simfarm.Job{DUT: src, TB: tb, Top: "tb", Opts: sim}
+					jobs[j] = simfarm.Job{DUT: src, TB: tb, Top: "tb"}
 				}
-				oracle := simfarm.RunMany(jobs, 0)
+				oracle := simfarm.Default().RunMany(jobs, 0)
 				chosen := chooseBySignature(sigs)
 				if chosen >= 0 {
 					_ = oracle[chosen].Passed()
@@ -384,7 +383,7 @@ func BenchmarkLintEndToEnd(b *testing.B) {
 
 // BenchmarkSLTPoolSerial / BenchmarkSLTPoolBatch measure the §V
 // population-scoring path (chdl→isa→boom, no Verilog): serial loop vs
-// simfarm.Map. The batch path matches serial on one core and scales with
+// slt.ScoreBatch on the simfarm worker pool. The batch path matches serial on one core and scales with
 // GOMAXPROCS on parallel hardware.
 func BenchmarkSLTPoolSerial(b *testing.B) {
 	srcs := slt.SeedExamples()

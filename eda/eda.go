@@ -166,8 +166,6 @@ type Option func(*runOptions)
 
 type runOptions struct {
 	sink     Sink
-	workers  int
-	timeout  time.Duration
 	registry *Registry
 }
 
@@ -175,16 +173,6 @@ type runOptions struct {
 // calls). The sink must tolerate concurrent Emit calls.
 func WithSink(sink Sink) Option {
 	return func(o *runOptions) { o.sink = sink }
-}
-
-// WithWorkers overrides the spec's worker bound.
-func WithWorkers(n int) Option {
-	return func(o *runOptions) { o.workers = n }
-}
-
-// WithTimeout bounds the run's wall clock, tightening any spec deadline.
-func WithTimeout(d time.Duration) Option {
-	return func(o *runOptions) { o.timeout = d }
 }
 
 // WithRegistry resolves the framework in reg instead of the default
@@ -210,12 +198,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	reg := o.registry
 	if reg == nil {
 		reg = DefaultRegistry()
-	}
-	if o.workers != 0 {
-		spec.Run.Workers = o.workers
-	}
-	if o.timeout > 0 && (spec.Run.Deadline == 0 || o.timeout < spec.Run.Deadline) {
-		spec.Run.Deadline = o.timeout
 	}
 	spec = reg.Normalize(spec)
 	if err := spec.ValidateIn(reg); err != nil {

@@ -12,6 +12,7 @@ import (
 	"llm4eda/eda"
 	"llm4eda/internal/autochip"
 	"llm4eda/internal/core"
+	"llm4eda/internal/obs"
 	"llm4eda/internal/slt"
 )
 
@@ -90,6 +91,25 @@ func TestEveryFrameworkInvocable(t *testing.T) {
 				t.Errorf("render lacks framework name: %s", report.Render())
 			}
 		})
+	}
+}
+
+// TestRTLSimulationsAreSpanned: every framework that simulates RTL runs
+// its simulations under the run's context, so a span recorder riding
+// that context counts compile and sim. HLS co-simulation (hlstest and
+// repair) once ran on a context of its own and recorded neither.
+func TestRTLSimulationsAreSpanned(t *testing.T) {
+	specs := quickSpecs()
+	for _, fw := range []string{"agent", "autochip", "vrank", "crosscheck", "xdebug", "lint", "repair", "hlstest"} {
+		sp := obs.NewSpans(obs.JobPhases()...)
+		if _, err := eda.Run(obs.WithSpans(context.Background(), sp), specs[fw]); err != nil {
+			t.Fatalf("%s: %v", fw, err)
+		}
+		for _, phase := range []string{obs.PhaseCompile, obs.PhaseSim} {
+			if sp.Get(phase).N == 0 {
+				t.Errorf("%s: no %s span recorded", fw, phase)
+			}
+		}
 	}
 }
 
@@ -206,8 +226,9 @@ func TestDeadlineCancelsLongLoop(t *testing.T) {
 	start := time.Now()
 	report, err := eda.Run(context.Background(), eda.Spec{
 		Framework: "slt",
+		Run:       eda.RunSpec{Deadline: 300 * time.Millisecond},
 		Params:    map[string]float64{"evals": 100000},
-	}, eda.WithTimeout(300*time.Millisecond))
+	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -298,11 +319,13 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := eda.Spec{Framework: "vrank", Problem: "alu8",
 		Run:    eda.RunSpec{Tier: "medium", Seed: 5},
 		Params: map[string]float64{"k": 5}}
-	a, err := eda.Run(context.Background(), spec, eda.WithWorkers(1))
+	spec.Run.Workers = 1
+	a, err := eda.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
-	b, err := eda.Run(context.Background(), spec, eda.WithWorkers(8))
+	spec.Run.Workers = 8
+	b, err := eda.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("workers=8: %v", err)
 	}

@@ -16,7 +16,6 @@ import (
 	"llm4eda/internal/autochip"
 	"llm4eda/internal/benchset"
 	"llm4eda/internal/llm"
-	"llm4eda/internal/verilog"
 )
 
 func main() {
@@ -62,7 +61,7 @@ func run() error {
 	// Contrast with the earlier structured conversational flow [10]:
 	// the model also writes its own (coverage-lossy) testbench.
 	flow, err := autochip.StructuredFlow(context.Background(), problem,
-		llm.NewSimModel(llm.TierLarge, 99), 8, verilog.SimOptions{})
+		llm.NewSimModel(llm.TierLarge, 99), 8)
 	if err != nil {
 		return err
 	}

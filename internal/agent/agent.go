@@ -19,7 +19,6 @@ import (
 	"llm4eda/internal/llm"
 	"llm4eda/internal/simfarm"
 	"llm4eda/internal/synth"
-	"llm4eda/internal/verilog"
 )
 
 // Config parameterizes the agent.
@@ -34,9 +33,6 @@ type Config struct {
 	// testbench first (the risky mode the paper critiques); the reference
 	// bench is always used for final signoff.
 	UseModelTestbench bool
-	// SynthOptions configures logic synthesis.
-	SynthOptions synth.Options
-	Sim          verilog.SimOptions
 }
 
 func (c Config) withDefaults() Config {
@@ -87,7 +83,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	// Stage 2: HDL generation with EDA feedback (AutoChip engine).
 	t0 = time.Now()
 	genRes, err := autochip.Run(ctx, p, autochip.Options{
-		RunSpec: cfg.RunSpec, Model: cfg.Model, K: 2, Depth: cfg.MaxDebugRounds, Sim: cfg.Sim,
+		RunSpec: cfg.RunSpec, Model: cfg.Model, K: 2, Depth: cfg.MaxDebugRounds,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("agent: generation failed: %w", err)
@@ -123,7 +119,11 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	// stage, so the farm serves the compile (and often the whole run)
 	// from cache.
 	t0 = time.Now()
-	simRes, err := simfarm.RunTestbench(design, tb, "tb", cfg.Sim)
+	runs, err := simfarm.RunManyCtx(ctx, []simfarm.Job{{DUT: design, TB: tb, Top: "tb"}}, 1)
+	if err != nil {
+		return report, err
+	}
+	simRes, err := runs[0].Res, runs[0].Err
 	simOK := err == nil && simRes != nil && simRes.Passed()
 	detail := "simulation failed to compile"
 	if err == nil {
@@ -138,7 +138,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	}
 	if !simOK {
 		t0 = time.Now()
-		fixed := autochip.Evaluate(p, design, cfg.Sim)
+		fixed := autochip.Evaluate(ctx, p, design)
 		resp, err := cfg.Model.Generate(llm.Request{
 			System: llm.SystemVerilogDesigner,
 			Prompt: llm.BuildFeedbackPrompt(p.Spec, design, fixed.Feedback),
@@ -148,7 +148,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 			},
 		})
 		if err == nil {
-			cand := autochip.Evaluate(p, resp.Text, cfg.Sim)
+			cand := autochip.Evaluate(ctx, p, resp.Text)
 			if cand.Verdict.PassFraction() >= fixed.Verdict.PassFraction() {
 				design = resp.Text
 				report.Design.Source = design
@@ -163,7 +163,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	}
 
 	// Final signoff with the reference bench.
-	final := autochip.Evaluate(p, design, cfg.Sim)
+	final := autochip.Evaluate(ctx, p, design)
 	report.Verdict = final.Verdict
 
 	// Stage 6: logic synthesis.
@@ -171,7 +171,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 		return report, err
 	}
 	t0 = time.Now()
-	sr, err := synth.SynthesizeRTL(design, p.TopModule, cfg.SynthOptions)
+	sr, err := synth.SynthesizeRTL(design, p.TopModule)
 	if err != nil {
 		stage(core.StageSynthesis, "logic synthesis", err.Error(), false, t0)
 		return report, nil
@@ -188,9 +188,9 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 		Task:   llm.SynthRewrite{RTL: design},
 	})
 	if err == nil && resp.Text != design {
-		cand := autochip.Evaluate(p, resp.Text, cfg.Sim)
+		cand := autochip.Evaluate(ctx, p, resp.Text)
 		if cand.Verdict.Pass() || cand.Verdict.PassFraction() >= final.Verdict.PassFraction() {
-			if sr2, err := synth.SynthesizeRTL(resp.Text, p.TopModule, cfg.SynthOptions); err == nil && sr2.Gates < sr.Gates {
+			if sr2, err := synth.SynthesizeRTL(resp.Text, p.TopModule); err == nil && sr2.Gates < sr.Gates {
 				report.Design.Source = resp.Text
 				report.Final = sr2.PPA()
 				stage(core.StagePPAOptimization, "ppa optimization",

@@ -30,8 +30,6 @@ type Options struct {
 	Depth int
 	// Temperature for generation (default 0.7).
 	Temperature float64
-	// Sim bounds each candidate simulation.
-	Sim verilog.SimOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -70,9 +68,11 @@ type Result struct {
 // Evaluate compiles and simulates a candidate against the problem's
 // testbench, producing the verdict and the raw tool feedback the next
 // round sees. The bench and the candidate compile through the shared
-// simfarm cache, so re-evaluating a known design is free.
-func Evaluate(p *benchset.Problem, source string, sim verilog.SimOptions) Candidate {
-	cands, _ := EvaluateBatch(context.Background(), p, []string{source}, sim, 1)
+// simfarm cache, so re-evaluating a known design is free. A cancelled ctx
+// yields a candidate that carries the cancellation error as its compile
+// log.
+func Evaluate(ctx context.Context, p *benchset.Problem, source string) Candidate {
+	cands, _ := EvaluateBatch(ctx, p, []string{source}, 1)
 	return cands[0]
 }
 
@@ -83,12 +83,12 @@ func Evaluate(p *benchset.Problem, source string, sim verilog.SimOptions) Candid
 // serial Evaluate loop bit for bit. A cancelled ctx aborts the batch
 // within one job and returns ctx.Err(); candidates that never simulated
 // carry the cancellation error as their compile log.
-func EvaluateBatch(ctx context.Context, p *benchset.Problem, sources []string, sim verilog.SimOptions, workers int) ([]Candidate, error) {
+func EvaluateBatch(ctx context.Context, p *benchset.Problem, sources []string, workers int) ([]Candidate, error) {
 	tb := p.Testbench()
 	jobs := make([]simfarm.Job, len(sources))
 	for i, src := range sources {
 		jobs[i] = simfarm.Job{DUT: src, TB: tb, Top: "tb",
-			DUTTop: p.TopModule, Lint: true, Opts: sim}
+			DUTTop: p.TopModule, Lint: true}
 	}
 	results, err := simfarm.RunManyCtx(ctx, jobs, workers)
 	cands := make([]Candidate, len(sources))
@@ -213,7 +213,7 @@ func Run(ctx context.Context, p *benchset.Problem, opts Options) (*Result, error
 				Seq: res.TotalCandidates, TokensIn: resp.TokensIn, TokensOut: resp.TokensOut,
 			})
 		}
-		cands, err := EvaluateBatch(ctx, p, sources, opts.Sim, opts.Workers)
+		cands, err := EvaluateBatch(ctx, p, sources, opts.Workers)
 		if err != nil {
 			return res, err
 		}
@@ -275,8 +275,8 @@ type FlowResult struct {
 // design AND its own testbench; tool feedback iterates against the model's
 // testbench; a human intervenes (with the reference bench's output) only
 // after the loop stalls. maxRounds bounds total iterations; ctx is checked
-// between rounds.
-func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, maxRounds int, sim verilog.SimOptions) (*FlowResult, error) {
+// between rounds and cancels each round's simulations.
+func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, maxRounds int) (*FlowResult, error) {
 	if maxRounds == 0 {
 		maxRounds = 8
 	}
@@ -301,7 +301,8 @@ func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, m
 		c := Candidate{Source: src}
 		// The model's own bench is fixed for the whole loop: simfarm
 		// compiles it once and only the candidate half changes per round.
-		res, err := simfarm.RunTestbench(src, ownTB, "tb", sim)
+		runs, _ := simfarm.RunManyCtx(ctx, []simfarm.Job{{DUT: src, TB: ownTB, Top: "tb"}}, 1)
+		res, err := runs[0].Res, runs[0].Err
 		if err != nil {
 			c.Verdict = core.Verdict{Compiled: false, Log: err.Error()}
 			c.Feedback = err.Error()
@@ -344,7 +345,7 @@ func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, m
 		if cand.Verdict.Pass() {
 			// The model believes it is done; validate with the reference
 			// bench (the "human" checking the result).
-			ref := Evaluate(p, cand.Source, sim)
+			ref := Evaluate(ctx, p, cand.Source)
 			if ref.Verdict.Pass() {
 				out.Solved = true
 				return out, nil
@@ -359,7 +360,7 @@ func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, m
 				// Stuck for several rounds: human intervention with the
 				// reference bench's diagnosis.
 				out.HumanInterventions++
-				ref := Evaluate(p, cand.Source, sim)
+				ref := Evaluate(ctx, p, cand.Source)
 				cand.Feedback = ref.Feedback
 				stall = 0
 			}

@@ -6,12 +6,11 @@ import (
 
 	"llm4eda/internal/benchset"
 	"llm4eda/internal/llm"
-	"llm4eda/internal/verilog"
 )
 
 func TestEvaluateReference(t *testing.T) {
 	p := benchset.ByID("adder4")
-	c := Evaluate(p, p.Reference, verilog.SimOptions{})
+	c := Evaluate(context.Background(), p, p.Reference)
 	if !c.Verdict.Pass() {
 		t.Fatalf("reference fails: %+v", c.Verdict)
 	}
@@ -24,7 +23,7 @@ func TestEvaluateBrokenCandidate(t *testing.T) {
 	p := benchset.ByID("adder4")
 	broken := "module adder4(input [3:0] a, input [3:0] b, input cin, output [3:0] sum, output cout);\n" +
 		"  assign {cout, sum} = a - b + cin;\nendmodule\n"
-	c := Evaluate(p, broken, verilog.SimOptions{})
+	c := Evaluate(context.Background(), p, broken)
 	if c.Verdict.Pass() {
 		t.Fatal("broken candidate passes")
 	}
@@ -35,7 +34,7 @@ func TestEvaluateBrokenCandidate(t *testing.T) {
 
 func TestEvaluateSyntaxError(t *testing.T) {
 	p := benchset.ByID("adder4")
-	c := Evaluate(p, "module adder4(input a; endmodule", verilog.SimOptions{})
+	c := Evaluate(context.Background(), p, "module adder4(input a; endmodule")
 	if c.Verdict.Compiled {
 		t.Error("syntax error marked compiled")
 	}
@@ -102,7 +101,7 @@ func TestFeedbackHelpsFrontierMoreThanSmall(t *testing.T) {
 func TestStructuredFlow(t *testing.T) {
 	solvedNoHuman := 0
 	for _, p := range benchset.EightDesignSet() {
-		res, err := StructuredFlow(context.Background(), p, llm.NewSimModel(llm.TierLarge, 13), 8, verilog.SimOptions{})
+		res, err := StructuredFlow(context.Background(), p, llm.NewSimModel(llm.TierLarge, 13), 8)
 		if err != nil {
 			t.Fatalf("StructuredFlow(%s): %v", p.ID, err)
 		}

@@ -118,14 +118,14 @@ func combProblem(id, spec string, difficulty int, top, reference string,
 		var blk strings.Builder
 		for _, p := range ports {
 			if p.IsInput {
-				fmt.Fprintf(&blk, "    %s = %d'd%d;\n", p.Name, p.Width, vec[p.Name]&maskBits(p.Width))
+				fmt.Fprintf(&blk, "    %s = %d'd%d;\n", p.Name, p.Width, vec[p.Name]&MaskBits(p.Width))
 			}
 		}
 		blk.WriteString("    #1;\n")
 		out := golden(vec)
 		for _, p := range ports {
 			if !p.IsInput {
-				fmt.Fprintf(&blk, "    $check_eq(%s, %d'd%d);\n", p.Name, p.Width, out[p.Name]&maskBits(p.Width))
+				fmt.Fprintf(&blk, "    $check_eq(%s, %d'd%d);\n", p.Name, p.Width, out[p.Name]&MaskBits(p.Width))
 			}
 		}
 		blocks = append(blocks, blk.String())
@@ -140,11 +140,48 @@ func combProblem(id, spec string, difficulty int, top, reference string,
 	}
 }
 
-func maskBits(w int) uint64 {
+// MaskBits returns the mask of a w-bit value (every bit when w >= 64).
+func MaskBits(w int) uint64 {
 	if w >= 64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << uint(w)) - 1
+}
+
+// Stimuli produces n deterministic input vectors, corners first (all
+// zeros, all ones, alternating bits, one), then pseudo-random values
+// masked to each port's width. The cross-level checker and the
+// debugger both drive these vectors, so their verdicts are comparable.
+func Stimuli(inputs []Port, n int) []map[string]uint64 {
+	var out []map[string]uint64
+	state := uint64(0xC0FFEE12345678)
+	next := func() uint64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	corners := []func(w int) uint64{
+		func(int) uint64 { return 0 },
+		func(w int) uint64 { return MaskBits(w) },
+		func(w int) uint64 { return 0x5555555555555555 & MaskBits(w) },
+		func(int) uint64 { return 1 },
+	}
+	for _, c := range corners {
+		vec := map[string]uint64{}
+		for _, in := range inputs {
+			vec[in.Name] = c(in.Width)
+		}
+		out = append(out, vec)
+	}
+	for len(out) < n {
+		vec := map[string]uint64{}
+		for _, in := range inputs {
+			vec[in.Name] = next() & MaskBits(in.Width)
+		}
+		out = append(out, vec)
+	}
+	return out
 }
 
 // sweep2 enumerates the cross product of two input ranges.
@@ -170,8 +207,8 @@ func sample2(aName string, aW int, bName string, bW int, n int) []map[string]uin
 	}
 	for i := 0; i < n; i++ {
 		out = append(out, map[string]uint64{
-			aName: next() & maskBits(aW),
-			bName: next() & maskBits(bW),
+			aName: next() & MaskBits(aW),
+			bName: next() & MaskBits(bW),
 		})
 	}
 	return out

@@ -29,7 +29,7 @@ func BenchmarkCInterp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range ks {
 			for _, vec := range k.vectors {
-				in, err := chdl.NewInterp(k.prog, chdl.InterpOptions{})
+				in, err := chdl.NewInterp(k.prog)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,7 +19,7 @@ func mustParse(t *testing.T, src string) *Program {
 func run(t *testing.T, src, fn string, args ...int64) int64 {
 	t.Helper()
 	prog := mustParse(t, src)
-	in, err := NewInterp(prog, InterpOptions{})
+	in, err := NewInterp(prog)
 	if err != nil {
 		t.Fatalf("NewInterp: %v", err)
 	}
@@ -109,7 +109,7 @@ int uaf() {
     return p[0];
 }`
 	prog := mustParse(t, src)
-	in, err := NewInterp(prog, InterpOptions{})
+	in, err := NewInterp(prog)
 	if err != nil {
 		t.Fatalf("NewInterp: %v", err)
 	}
@@ -125,7 +125,7 @@ int oob() {
     return a[10];
 }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{})
+	in, _ := NewInterp(prog)
 	if _, err := in.CallInts("oob"); err == nil || !strings.Contains(err.Error(), "out of bounds") {
 		t.Errorf("expected bounds error, got %v", err)
 	}
@@ -161,7 +161,7 @@ int report(int a) {
     return 0;
 }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{})
+	in, _ := NewInterp(prog)
 	if _, err := in.CallInts("report", 42); err != nil {
 		t.Fatalf("report: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestGlobalsPersistAcrossCalls(t *testing.T) {
 int counter = 0;
 int bump() { counter += 1; return counter; }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{})
+	in, _ := NewInterp(prog)
 	for want := int64(1); want <= 3; want++ {
 		got, err := in.CallInts("bump")
 		if err != nil {
@@ -190,7 +190,7 @@ int bump() { counter += 1; return counter; }`
 func TestStepLimitStopsInfiniteLoop(t *testing.T) {
 	src := `int spin() { while (1) { } return 0; }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{MaxSteps: 10_000})
+	in, _ := newInterp(prog, 10_000)
 	_, err := in.CallInts("spin")
 	if !errors.Is(err, ErrStepLimit) {
 		t.Errorf("expected ErrStepLimit, got %v", err)
@@ -213,16 +213,16 @@ func TestStepLimitNamesExpressionLine(t *testing.T) {
 		"}"
 	prog := mustParse(t, src)
 	for max := int64(100); max <= 104; max++ {
-		in, err := NewInterp(prog, InterpOptions{MaxSteps: max})
+		in, err := newInterp(prog, max)
 		if err != nil {
-			t.Fatalf("NewInterp: %v", err)
+			t.Fatalf("newInterp: %v", err)
 		}
 		_, err = in.CallInts("spin", 7)
 		if !errors.Is(err, ErrStepLimit) || err.Error() != "chdl: step limit exceeded at line 4" {
-			t.Errorf("MaxSteps %d: err = %v, want the step limit at line 4", max, err)
+			t.Errorf("budget %d: err = %v, want the step limit at line 4", max, err)
 		}
 		if in.Steps() != max+1 {
-			t.Errorf("MaxSteps %d: stopped after %d steps", max, in.Steps())
+			t.Errorf("budget %d: stopped after %d steps", max, in.Steps())
 		}
 	}
 }
@@ -233,7 +233,7 @@ void doubler(int a[], int n) {
     for (int i = 0; i < n; i++) a[i] *= 2;
 }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{})
+	in, _ := NewInterp(prog)
 	buf := NewBuffer([]int64{1, 2, 3, 4})
 	if _, err := in.Call("doubler", buf, IntVal(4)); err != nil {
 		t.Fatalf("doubler: %v", err)
@@ -367,7 +367,7 @@ long mix(long a, long b) {
 		return x % 1000003
 	}
 	check := func(a, b int32) bool {
-		in, err := NewInterp(prog, InterpOptions{})
+		in, err := NewInterp(prog)
 		if err != nil {
 			return false
 		}
@@ -390,7 +390,7 @@ int accumulate(int n) {
     return acc;
 }`
 	prog := mustParse(t, src)
-	in, _ := NewInterp(prog, InterpOptions{})
+	in, _ := NewInterp(prog)
 	var samples []int64
 	in.TraceVars = map[string]bool{"acc": true}
 	in.Trace = func(line int, name string, v int64) {
@@ -509,7 +509,7 @@ func TestMalformedBuiltinsAndHugeArraysFail(t *testing.T) {
 	}
 	for _, c := range cases {
 		prog := mustParse(t, c.src)
-		in, err := NewInterp(prog, InterpOptions{})
+		in, err := NewInterp(prog)
 		if err != nil {
 			t.Fatalf("NewInterp: %v", err)
 		}

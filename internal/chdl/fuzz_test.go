@@ -22,7 +22,7 @@ type fuzzOutcome struct {
 }
 
 func fuzzCall(prog *chdl.Program, fn string, args []int64) fuzzOutcome {
-	in, err := chdl.NewInterp(prog, chdl.InterpOptions{MaxSteps: fuzzSteps})
+	in, err := chdl.NewInterpMaxSteps(prog, fuzzSteps)
 	if err != nil {
 		return fuzzOutcome{err: "init: " + err.Error()}
 	}

@@ -58,7 +58,7 @@ type goldenCase struct {
 // everything the fixture pins.
 func runGoldenCase(prog *chdl.Program, maxSteps int64, fn string, args []int64) goldenCase {
 	c := goldenCase{Func: fn, Args: args}
-	in, err := chdl.NewInterp(prog, chdl.InterpOptions{MaxSteps: maxSteps})
+	in, err := chdl.NewInterpMaxSteps(prog, maxSteps)
 	if err != nil {
 		c.Err = "init: " + err.Error()
 		return c

@@ -63,18 +63,12 @@ func newScalar(t *Type, v int64) *varSlot {
 	return s
 }
 
-// InterpOptions bound an execution.
-type InterpOptions struct {
-	// MaxSteps bounds executed statements+expressions (default 20_000_000).
-	MaxSteps int64
-}
-
 // Interp executes a parsed program. One Interp may run many calls; globals
 // persist between calls. Any number of Interps may run one Program at
 // once: they share its resolved layout and never write to it.
 type Interp struct {
 	lay      *layout
-	opts     InterpOptions
+	maxSteps int64
 	globals  []*varSlot // nil until every global is initialized
 	out      strings.Builder
 	steps    int64
@@ -95,14 +89,19 @@ type Interp struct {
 
 const maxCallDepth = 256
 
+// maxSteps bounds the statements and expressions one Interp executes.
+const maxSteps = 20_000_000
+
 // NewInterp prepares an interpreter and initializes globals.
-func NewInterp(prog *Program, opts InterpOptions) (*Interp, error) {
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 20_000_000
-	}
+func NewInterp(prog *Program) (*Interp, error) {
+	return newInterp(prog, maxSteps)
+}
+
+// newInterp is NewInterp under a step budget of the caller's choosing.
+func newInterp(prog *Program, budget int64) (*Interp, error) {
 	in := &Interp{
 		lay:         prog.resolved(),
-		opts:        opts,
+		maxSteps:    budget,
 		rngState:    1442695040888963407, // until srand() reseeds rand()
 		BranchCount: map[int]int64{},
 	}
@@ -238,7 +237,7 @@ func (fr *frame) lookup(r *ref) *varSlot {
 
 func (fr *frame) step(line int) error {
 	fr.in.steps++
-	if fr.in.steps > fr.in.opts.MaxSteps {
+	if fr.in.steps > fr.in.maxSteps {
 		return fmt.Errorf("%w at line %d", ErrStepLimit, line)
 	}
 	return nil

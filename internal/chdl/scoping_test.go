@@ -164,7 +164,7 @@ int f(int n) { return n; }`, []int64{2},
 
 // describe renders one call the way scopingCases record it.
 func describe(prog *Program, args []int64) string {
-	in, err := NewInterp(prog, InterpOptions{})
+	in, err := NewInterp(prog)
 	if err != nil {
 		return fmt.Sprintf("init %v", err)
 	}

@@ -111,7 +111,7 @@ func buildHarness(p *benchset.Problem, cModel string, nVectors int) (*refHarness
 		}
 	}
 
-	h.vectors = stimuli(h.inputs, nVectors)
+	h.vectors = benchset.Stimuli(h.inputs, nVectors)
 	h.bench = buildBench(p.TopModule, h.inputs, h.outputs, h.vectors)
 	h.want = make([][]int64, len(h.vectors))
 	for vi, vec := range h.vectors {
@@ -121,7 +121,7 @@ func buildHarness(p *benchset.Problem, cModel string, nVectors int) (*refHarness
 		}
 		h.want[vi] = make([]int64, len(h.outputs))
 		for oi, out := range h.outputs {
-			interp, err := chdl.NewInterp(prog, chdl.InterpOptions{})
+			interp, err := chdl.NewInterp(prog)
 			if err != nil {
 				return nil, err
 			}
@@ -129,7 +129,7 @@ func buildHarness(p *benchset.Problem, cModel string, nVectors int) (*refHarness
 			if err != nil {
 				return nil, fmt.Errorf("crosscheck: C model failed on %v: %w", args, err)
 			}
-			h.want[vi][oi] = want & int64(maskBits(out.Width))
+			h.want[vi][oi] = want & int64(benchset.MaskBits(out.Width))
 		}
 	}
 	return h, nil
@@ -226,40 +226,6 @@ func ValidateBatch(ctx context.Context, candidates []string, p *benchset.Problem
 		sink.Emit(ev)
 	}
 	return items, nil
-}
-
-// stimuli produces deterministic corner-plus-random vectors.
-func stimuli(inputs []benchset.Port, n int) []map[string]uint64 {
-	var out []map[string]uint64
-	state := uint64(0xC0FFEE12345678)
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	// Corners first: all zeros, all ones, alternating.
-	corners := []func(w int) uint64{
-		func(int) uint64 { return 0 },
-		func(w int) uint64 { return maskBits(w) },
-		func(w int) uint64 { return 0x5555555555555555 & maskBits(w) },
-		func(w int) uint64 { return 1 },
-	}
-	for _, c := range corners {
-		vec := map[string]uint64{}
-		for _, in := range inputs {
-			vec[in.Name] = c(in.Width)
-		}
-		out = append(out, vec)
-	}
-	for len(out) < n {
-		vec := map[string]uint64{}
-		for _, in := range inputs {
-			vec[in.Name] = next() & maskBits(in.Width)
-		}
-		out = append(out, vec)
-	}
-	return out
 }
 
 // buildBench emits the stimulus bench printing "XCHK <v> <port> <%b>".
@@ -359,11 +325,4 @@ func parseBinary(s string, width int) (verilog.Value, error) {
 		}
 	}
 	return v, nil
-}
-
-func maskBits(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w)) - 1
 }

@@ -24,7 +24,6 @@ import (
 	"llm4eda/internal/simfarm"
 	"llm4eda/internal/slt"
 	"llm4eda/internal/synth"
-	"llm4eda/internal/verilog"
 	"llm4eda/internal/vlint"
 	"llm4eda/internal/vrank"
 	"llm4eda/internal/xdebug"
@@ -278,7 +277,7 @@ func (r Runner) E5Sec4StructuredFlow(ctx context.Context) *core.Experiment {
 		for s := 0; s < seeds; s++ {
 			model := llm.NewSimModel(tier, r.Seed+uint64(s)*53)
 			for _, p := range benchset.EightDesignSet() {
-				res, err := autochip.StructuredFlow(ctx, p, model, 8, verilog.SimOptions{})
+				res, err := autochip.StructuredFlow(ctx, p, model, 8)
 				if err != nil {
 					exp.AddFinding("run failed: %v", err)
 					return exp
@@ -486,7 +485,7 @@ func (r Runner) E10Sec2LLSM(ctx context.Context) *core.Experiment {
 	model := llm.NewSimModel(llm.TierFrontier, r.Seed+41)
 	var baseTotal, llmTotal float64
 	for i, d := range llsmDesigns {
-		base, err := synth.SynthesizeRTL(d.src, d.name, synth.Options{})
+		base, err := synth.SynthesizeRTL(d.src, d.name)
 		if err != nil {
 			exp.AddFinding("%s baseline failed: %v", d.name, err)
 			return exp
@@ -500,7 +499,7 @@ func (r Runner) E10Sec2LLSM(ctx context.Context) *core.Experiment {
 			exp.AddFinding("%s rewrite failed: %v", d.name, err)
 			return exp
 		}
-		after, err := synth.SynthesizeRTL(resp.Text, d.name, synth.Options{})
+		after, err := synth.SynthesizeRTL(resp.Text, d.name)
 		if err != nil {
 			after = base // unparsable rewrite: keep baseline
 		}

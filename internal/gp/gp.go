@@ -120,12 +120,15 @@ type Config struct {
 	// MaxEvals bounds fitness evaluations (the runtime stand-in; the
 	// paper's GP ran 39 h vs the LLM's 24 h).
 	MaxEvals int
-	// TournamentK for selection (default 3).
-	TournamentK int
-	// MutationRate per gene (default 0.25).
-	MutationRate float64
-	Boom         boom.RunOptions
+	Boom     boom.RunOptions
 }
+
+// tournamentK is the selection tournament's size (and the sample the
+// steady-state replacement evicts from); mutationRate is per gene.
+const (
+	tournamentK  = 3
+	mutationRate = 0.25
+)
 
 func (c Config) withDefaults() Config {
 	if c.Population == 0 {
@@ -133,12 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEvals == 0 {
 		c.MaxEvals = 300
-	}
-	if c.TournamentK == 0 {
-		c.TournamentK = 3
-	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.25
 	}
 	return c
 }
@@ -217,10 +214,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		a := tournament(r, fit, cfg.TournamentK)
-		b := tournament(r, fit, cfg.TournamentK)
+		a := tournament(r, fit, tournamentK)
+		b := tournament(r, fit, tournamentK)
 		child := crossover(r, pop[a], pop[b])
-		child = mutate(r, child, cfg.MutationRate)
+		child = mutate(r, child, mutationRate)
 		f := score(child, cfg.Boom)
 		res.Evals++
 		if f > res.Best.Score {
@@ -235,7 +232,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// Steady-state replacement: evict the worst of a small sample.
 		victim := 0
 		worst := fit[0]
-		for k := 0; k < cfg.TournamentK; k++ {
+		for k := 0; k < tournamentK; k++ {
 			i := r.intn(len(pop))
 			if fit[i] < worst {
 				worst, victim = fit[i], i

@@ -112,7 +112,7 @@ func (g *codegen) declareMem(name string, words int) (string, error) {
 	for _, m := range g.mems {
 		total += m.words
 	}
-	if total > g.opts.MaxMemWords {
+	if total > maxMemWords {
 		return "", fmt.Errorf("hls: memory budget exceeded (%d words)", total)
 	}
 	v := "mem_" + name

@@ -1,6 +1,7 @@
 package hls
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +38,7 @@ int kern(int a, int b) {
 		t.Fatalf("synthesize: %v", err)
 	}
 	check := func(a, b uint16) bool {
-		res, err := CoSimulate(d, prog, "kern", [][]int64{{int64(a), int64(b)}})
+		res, err := CoSimulate(context.Background(), d, prog, "kern", [][]int64{{int64(a), int64(b)}})
 		if err != nil || len(res) != 1 {
 			return false
 		}
@@ -67,7 +68,7 @@ int walk(int a) {
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	res, err := CoSimulate(d, prog, "walk", [][]int64{{5}})
+	res, err := CoSimulate(context.Background(), d, prog, "walk", [][]int64{{5}})
 	if err != nil || !res[0].Match {
 		t.Fatalf("cosim: %v %+v", err, res)
 	}

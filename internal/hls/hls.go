@@ -13,6 +13,7 @@
 package hls
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -33,11 +34,14 @@ type Options struct {
 	// "customized bit widths in FPGA deployment" and are a deliberate
 	// discrepancy source for the Fig. 3 experiments.
 	WidthBits int
-	// ClockMHz sets the target clock for power estimation (default 100).
-	ClockMHz float64
-	// MaxMemWords bounds total memory cells (default 1 << 16).
-	MaxMemWords int
 }
+
+// clockMHz is the target clock of the power estimate; maxMemWords bounds
+// a kernel's total memory cells.
+const (
+	clockMHz    = 100
+	maxMemWords = 1 << 16
+)
 
 func (o Options) withDefaults() Options {
 	if o.WidthBits == 0 {
@@ -45,12 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WidthBits > 64 {
 		o.WidthBits = 64
-	}
-	if o.ClockMHz == 0 {
-		o.ClockMHz = 100
-	}
-	if o.MaxMemWords == 0 {
-		o.MaxMemWords = 1 << 16
 	}
 	return o
 }
@@ -310,7 +308,7 @@ func estimatePPA(prog *chdl.Program, fn *chdl.FuncDecl, g *codegen, opts Options
 	// Clock period must cover the worst state; power scales with area,
 	// toggle activity and clock.
 	const toggleRate = 0.18
-	powerMW := area*toggleRate*opts.ClockMHz*0.000012 + area*0.00045
+	powerMW := area*toggleRate*clockMHz*0.000012 + area*0.00045
 	return core.PPA{
 		AreaGates:  area,
 		DelayNS:    maxDelay,
@@ -406,8 +404,9 @@ type CoSimResult struct {
 
 // CoSimulate runs the kernel and its RTL on each input vector and compares
 // results: stage 3 of the Fig. 2 flow ("C-RTL co-simulation") and the
-// simulation backend of the Fig. 3 tester.
-func CoSimulate(d *Design, prog *chdl.Program, fn string, vectors [][]int64) ([]CoSimResult, error) {
+// simulation backend of the Fig. 3 tester. A cancelled ctx stops the RTL
+// batch within one simulation and returns ctx.Err().
+func CoSimulate(ctx context.Context, d *Design, prog *chdl.Program, fn string, vectors [][]int64) ([]CoSimResult, error) {
 	target := prog.FindFunc(fn)
 	if target == nil {
 		return nil, fmt.Errorf("hls: function %q not found", fn)
@@ -432,13 +431,16 @@ func CoSimulate(d *Design, prog *chdl.Program, fn string, vectors [][]int64) ([]
 			Opts: verilog.SimOptions{MaxTime: 4_000_000, MaxSteps: 8_000_000},
 		}
 	}
-	rtlRuns := simfarm.RunMany(jobs, 0)
+	rtlRuns, err := simfarm.RunManyCtx(ctx, jobs, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	out := make([]CoSimResult, 0, len(vectors))
 	for i, vec := range vectors {
 		r := CoSimResult{Inputs: append([]int64(nil), vec...)}
 
-		in, err := chdl.NewInterp(prog, chdl.InterpOptions{})
+		in, err := chdl.NewInterp(prog)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package hls
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ int scale(int a, int b) {
 	if !strings.Contains(d.Verilog, "module hls_scale") {
 		t.Fatalf("bad module:\n%s", d.Verilog)
 	}
-	results, err := CoSimulate(d, prog, "scale", [][]int64{{3, 4}, {10, 2}, {0, 0}, {7, 9}})
+	results, err := CoSimulate(context.Background(), d, prog, "scale", [][]int64{{3, 4}, {10, 2}, {0, 0}, {7, 9}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}
@@ -66,7 +67,7 @@ int movavg(int seed) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	results, err := CoSimulate(d, prog, "movavg", [][]int64{{1}, {42}, {99}})
+	results, err := CoSimulate(context.Background(), d, prog, "movavg", [][]int64{{1}, {42}, {99}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}
@@ -95,7 +96,7 @@ int clampsum(int a, int b) {
 	}
 	// Note: RTL comparisons are unsigned; keep the domain non-negative so
 	// CPU and RTL agree (negative-domain divergence is the Fig. 3 topic).
-	results, err := CoSimulate(d, prog, "clampsum", [][]int64{{500, 400}, {900, 200}, {0, 0}, {1, 2}})
+	results, err := CoSimulate(context.Background(), d, prog, "clampsum", [][]int64{{500, 400}, {900, 200}, {0, 0}, {1, 2}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}
@@ -154,11 +155,11 @@ int prodsum(int a) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	small, err := CoSimulate(d, prog, "prodsum", [][]int64{{3}})
+	small, err := CoSimulate(context.Background(), d, prog, "prodsum", [][]int64{{3}})
 	if err != nil || !small[0].Match {
 		t.Fatalf("small input should match: %+v err=%v", small, err)
 	}
-	big, err := CoSimulate(d, prog, "prodsum", [][]int64{{50000}})
+	big, err := CoSimulate(context.Background(), d, prog, "prodsum", [][]int64{{50000}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}
@@ -243,7 +244,7 @@ int findfirst(int target) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	results, err := CoSimulate(d, prog, "findfirst", [][]int64{{9}, {0}, {45}, {44}})
+	results, err := CoSimulate(context.Background(), d, prog, "findfirst", [][]int64{{9}, {0}, {45}, {44}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}
@@ -265,7 +266,7 @@ int lookup(int i) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	results, err := CoSimulate(d, prog, "lookup", [][]int64{{0}, {3}, {7}, {12}})
+	results, err := CoSimulate(context.Background(), d, prog, "lookup", [][]int64{{0}, {3}, {7}, {12}})
 	if err != nil {
 		t.Fatalf("CoSimulate: %v", err)
 	}

@@ -36,11 +36,10 @@ type Config struct {
 	// WidthBits is the RTL datapath width; narrow widths are the paper's
 	// "customized bit widths in FPGA deployment" discrepancy source.
 	WidthBits int
-	// SimBudget bounds hardware (RTL) simulations (default 40).
+	// SimBudget bounds hardware (RTL) simulations (default 40). CPU-side
+	// evaluations are bounded at 50x SimBudget, so a campaign whose
+	// filter skips everything still terminates.
 	SimBudget int
-	// MaxInputs bounds total CPU-side evaluations, so a campaign whose
-	// filter skips everything still terminates (default 50x SimBudget).
-	MaxInputs int
 	// UseSpectra enables spectra-guided mutation scheduling (ablation).
 	UseSpectra bool
 	// UseFilter enables redundancy filtering (ablation).
@@ -55,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WidthBits == 0 {
 		c.WidthBits = 16
-	}
-	if c.MaxInputs == 0 {
-		c.MaxInputs = 50 * c.SimBudget
 	}
 	return c
 }
@@ -134,7 +130,7 @@ func Run(ctx context.Context, source, tbSource, kernel string, seeds [][]int64, 
 	spectraSeen := map[uint64]bool{}
 	tried := map[string]bool{}
 
-	for len(queue) > 0 && res.SimsRun < cfg.SimBudget && res.InputsGenerated < cfg.MaxInputs {
+	for len(queue) > 0 && res.SimsRun < cfg.SimBudget && res.InputsGenerated < 50*cfg.SimBudget {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -160,7 +156,7 @@ func Run(ctx context.Context, source, tbSource, kernel string, seeds [][]int64, 
 			res.SimsSkipped++
 		} else {
 			res.SimsRun++
-			sims, err := hls.CoSimulate(design, prog, kernel, [][]int64{vec})
+			sims, err := hls.CoSimulate(ctx, design, prog, kernel, [][]int64{vec})
 			if err == nil && len(sims) == 1 && sims[0].RTLValid {
 				if sims[0].RTL != cpu {
 					res.Discrepancies = append(res.Discrepancies, Discrepancy{
@@ -368,7 +364,7 @@ func cloneSet(s map[string]bool) map[string]bool {
 // hardware simulation (stage 5), while width-boundary-crossing inputs land
 // in fresh buckets and do get simulated.
 func runWithSpectra(prog *chdl.Program, kernel string, keyVars []string, vec []int64, width int) (uint64, int64, error) {
-	in, err := chdl.NewInterp(prog, chdl.InterpOptions{})
+	in, err := chdl.NewInterp(prog)
 	if err != nil {
 		return 0, 0, err
 	}

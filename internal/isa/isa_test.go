@@ -198,7 +198,7 @@ int kernel(int a, int b, int c) {
 		t.Fatalf("Compile: %v", err)
 	}
 	check := func(a, b, c int16) bool {
-		in, err := chdl.NewInterp(cprog, chdl.InterpOptions{})
+		in, err := chdl.NewInterp(cprog)
 		if err != nil {
 			return false
 		}

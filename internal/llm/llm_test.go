@@ -158,7 +158,7 @@ int sum_dyn(int n) {
 	if err != nil {
 		t.Fatalf("repaired source does not parse: %v\n%s", err, resp.Text)
 	}
-	in, _ := chdl.NewInterp(prog, chdl.InterpOptions{})
+	in, _ := chdl.NewInterp(prog)
 	got, err := in.CallInts("sum_dyn", 10)
 	if err != nil {
 		t.Fatalf("repaired run: %v", err)
@@ -193,7 +193,7 @@ int triangle(int n) {
 			t.Errorf("recursion not removed:\n%s", resp.Text)
 		}
 	}
-	in, _ := chdl.NewInterp(prog, chdl.InterpOptions{})
+	in, _ := chdl.NewInterp(prog)
 	got, err := in.CallInts("triangle", 10)
 	if err != nil {
 		t.Fatalf("repaired run: %v", err)

@@ -38,18 +38,14 @@ type Config struct {
 	Library *rag.Library
 	// MaxIterations bounds the repair loop (default 4).
 	MaxIterations int
-	// TemplatesPerQuery is the retrieval depth (default 3).
-	TemplatesPerQuery int
-	// HLSOptions configures the synthesis backend.
-	HLSOptions hls.Options
 }
+
+// templatesPerQuery is the retrieval depth of each repair query.
+const templatesPerQuery = 3
 
 func (c Config) withDefaults() Config {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 4
-	}
-	if c.TemplatesPerQuery == 0 {
-		c.TemplatesPerQuery = 3
 	}
 	return c
 }
@@ -117,7 +113,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 	}
 	refResults := make([]int64, len(vectors))
 	for i, vec := range vectors {
-		in, err := chdl.NewInterp(origProg, chdl.InterpOptions{})
+		in, err := chdl.NewInterp(origProg)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +153,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 		}
 		prog, err := simfarm.ParseC(current)
 		if err == nil {
-			design, err = hls.Synthesize(prog, kernel, cfg.HLSOptions)
+			design, err = hls.Synthesize(prog, kernel, hls.Options{})
 			if err == nil {
 				repairedProg = prog
 				out.Iterations = iter
@@ -168,7 +164,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 		diags = append(diags, out.PotentialErrors...)
 		var templates []string
 		if cfg.Library != nil {
-			for _, hit := range cfg.Library.Retrieve(strings.Join(diags, "\n"), cfg.TemplatesPerQuery) {
+			for _, hit := range cfg.Library.Retrieve(strings.Join(diags, "\n"), templatesPerQuery) {
 				templates = append(templates, hit.Template.Body)
 			}
 		}
@@ -188,7 +184,7 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 	if design == nil {
 		// One last try with whatever the loop produced.
 		if prog, err := simfarm.ParseC(current); err == nil {
-			if d, err := hls.Synthesize(prog, kernel, cfg.HLSOptions); err == nil {
+			if d, err := hls.Synthesize(prog, kernel, hls.Options{}); err == nil {
 				design, repairedProg = d, prog
 			}
 		}
@@ -200,10 +196,10 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 	log("repair", fmt.Sprintf("synthesizable after %d iterations (%d states)", out.Iterations, design.States), true)
 
 	// Stage 3: equivalence verification against the ORIGINAL program.
-	results, err := hls.CoSimulate(design, repairedProg, kernel, vectors)
+	results, err := hls.CoSimulate(ctx, design, repairedProg, kernel, vectors)
 	if err != nil {
 		log("equivalence", fmt.Sprintf("co-simulation failed: %v", err), false)
-		return out, nil
+		return out, ctx.Err() // nil unless the run was cancelled
 	}
 	out.EquivalenceVectors = len(results)
 	for i, r := range results {
@@ -241,13 +237,16 @@ func (f *Framework) Repair(ctx context.Context, source, kernel string, vectors [
 		out.PPAAfter = out.PPABefore
 		return out, nil
 	}
-	optDesign, err := hls.Synthesize(optProg, kernel, cfg.HLSOptions)
+	optDesign, err := hls.Synthesize(optProg, kernel, hls.Options{})
 	if err != nil {
 		log("ppa-optimization", "optimized source does not synthesize; keeping baseline", false)
 		out.PPAAfter = out.PPABefore
 		return out, nil
 	}
-	optResults, err := hls.CoSimulate(optDesign, optProg, kernel, vectors)
+	optResults, err := hls.CoSimulate(ctx, optDesign, optProg, kernel, vectors)
+	if err != nil && ctx.Err() != nil {
+		return out, ctx.Err()
+	}
 	stillEquiv := err == nil
 	if stillEquiv {
 		for i, r := range optResults {

@@ -27,7 +27,7 @@ func TestSuiteKernelsAreBrokenButRunnable(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			// Runs on "CPU".
-			in, _ := chdl.NewInterp(prog, chdl.InterpOptions{})
+			in, _ := chdl.NewInterp(prog)
 			if _, err := in.CallInts(k.Kernel, k.Vectors[0]...); err != nil {
 				t.Fatalf("original does not run: %v", err)
 			}

@@ -18,17 +18,17 @@ func goroutineGuard(t *testing.T) {
 	testutil.GoroutineGuard(t)
 }
 
+// TestMapCtxMatchesMapWhenUncancelled: with a live context MapCtx fills
+// every slot exactly as a serial loop over the indices would.
 func TestMapCtxMatchesMapWhenUncancelled(t *testing.T) {
 	goroutineGuard(t)
-	a := make([]int, 64)
 	b := make([]int, 64)
-	Map(len(a), 4, func(i int) { a[i] = i * i })
 	if err := MapCtx(context.Background(), len(b), 4, func(i int) { b[i] = i * i }); err != nil {
 		t.Fatalf("MapCtx: %v", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("slot %d: Map %d vs MapCtx %d", i, a[i], b[i])
+	for i := range b {
+		if b[i] != i*i {
+			t.Fatalf("slot %d: MapCtx %d, serial loop %d", i, b[i], i*i)
 		}
 	}
 }

@@ -63,7 +63,7 @@ int mix(int a, int b) {
 				t.Error(err)
 				return
 			}
-			in, err := chdl.NewInterp(prog, chdl.InterpOptions{})
+			in, err := chdl.NewInterp(prog)
 			if err != nil {
 				t.Error(err)
 				return

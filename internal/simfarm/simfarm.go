@@ -375,11 +375,6 @@ func (f *Farm) RunTestbench(dutSrc, tbSrc, tbTop string, opts verilog.SimOptions
 	return f.Run(cd, opts)
 }
 
-// RunTestbench runs one DUT+bench pair through the default farm.
-func RunTestbench(dutSrc, tbSrc, tbTop string, opts verilog.SimOptions) (*verilog.SimResult, error) {
-	return Default().RunTestbench(dutSrc, tbSrc, tbTop, opts)
-}
-
 // Job is one independent simulation: a candidate DUT paired with a bench.
 type Job struct {
 	DUT, TB string
@@ -497,31 +492,22 @@ func (f *Farm) runJobCtx(ctx context.Context, job Job) (out Result) {
 	return Result{Res: res, Err: err}
 }
 
-// RunMany runs a batch through the default farm.
-func RunMany(jobs []Job, workers int) []Result {
-	return Default().RunMany(jobs, workers)
-}
-
 // RunManyCtx runs a cancellable batch through the default farm.
 func RunManyCtx(ctx context.Context, jobs []Job, workers int) ([]Result, error) {
 	return Default().RunManyCtx(ctx, jobs, workers)
 }
 
-// Map runs fn(i) for every i in [0, n) on up to workers goroutines
+// MapCtx runs fn(i) for every i in [0, n) on up to workers goroutines
 // (GOMAXPROCS when workers <= 0) and returns when all calls finish. It is
 // the generic batch-evaluation primitive for non-Verilog scoring loops
 // (the SLT and GP population evaluations): fn writes its result into a
 // caller-owned slot at index i, so output order is deterministic.
-func Map(n, workers int, fn func(i int)) {
-	_ = MapCtx(context.Background(), n, workers, fn)
-}
-
-// MapCtx is Map under a context. Cancellation stops new dispatch
-// immediately: indices already handed to a worker run to completion
-// (fn is never interrupted mid-call), no further fn calls start, every
-// worker goroutine exits, and MapCtx returns ctx.Err(). With an
-// uncancelled context the call visits every index and returns nil —
-// bit-identical to Map.
+//
+// Cancellation stops new dispatch immediately: indices already handed to
+// a worker run to completion (fn is never interrupted mid-call), no
+// further fn calls start, every worker goroutine exits, and MapCtx
+// returns ctx.Err(). With an uncancelled context the call visits every
+// index and returns nil.
 //
 // A panicking fn does not kill the pool: the panic is recovered per
 // call, remaining indices still run, and MapCtx returns the first

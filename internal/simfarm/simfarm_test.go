@@ -1,6 +1,7 @@
 package simfarm
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -204,7 +205,7 @@ func TestRunManyMatchesSerial(t *testing.T) {
 }
 
 func TestRunManyEmptyAndWorkerClamp(t *testing.T) {
-	if got := RunMany(nil, 4); len(got) != 0 {
+	if got := New().RunMany(nil, 4); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 	// More workers than jobs must not deadlock or drop results.
@@ -219,15 +220,19 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 	const n = 100
 	counts := make([]int32, n)
 	var mu sync.Mutex
-	Map(n, 7, func(i int) {
+	if err := MapCtx(context.Background(), n, 7, func(i int) {
 		mu.Lock()
 		counts[i]++
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatalf("MapCtx: %v", err)
+	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
 		}
 	}
-	Map(0, 3, func(int) { t.Error("fn called for n=0") })
+	if err := MapCtx(context.Background(), 0, 3, func(int) { t.Error("fn called for n=0") }); err != nil {
+		t.Fatalf("MapCtx(n=0): %v", err)
+	}
 }

@@ -31,15 +31,10 @@ type Config struct {
 	// UseSCoT selects structured chain-of-thought prompting.
 	UseSCoT bool
 	// AdaptiveTemp enables the temperature-adaptation mechanism; when
-	// false, FixedTemp is used throughout (ablation E8).
+	// false, the starting temperature is used throughout (ablation E8).
 	AdaptiveTemp bool
-	FixedTemp    float64
 	// DiversityPressure enables the Levenshtein pool filter (ablation E8).
 	DiversityPressure bool
-	// PoolSize bounds the candidate pool (default 12).
-	PoolSize int
-	// ExamplesPerPrompt is n in the paper (default 3).
-	ExamplesPerPrompt int
 	// MaxEvals is the snippet budget (the wall-clock stand-in; the paper's
 	// 24 h run produced 2021 snippets).
 	MaxEvals int
@@ -47,18 +42,17 @@ type Config struct {
 	Boom boom.RunOptions
 }
 
+// The search's starting temperature, the candidate-pool bound and the
+// paper's n, the pool examples shown per prompt.
+const (
+	startTemp         = 0.7
+	poolSize          = 12
+	examplesPerPrompt = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.PoolSize == 0 {
-		c.PoolSize = 12
-	}
-	if c.ExamplesPerPrompt == 0 {
-		c.ExamplesPerPrompt = 3
-	}
 	if c.MaxEvals == 0 {
 		c.MaxEvals = 200
-	}
-	if c.FixedTemp == 0 {
-		c.FixedTemp = 0.7
 	}
 	return c
 }
@@ -225,7 +219,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	temp := cfg.FixedTemp
+	temp := startTemp
 	const tempMin, tempMax = 0.1, 1.3
 
 	for eval := 0; eval < cfg.MaxEvals; eval++ {
@@ -234,7 +228,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return res, err
 		}
 		// Prompt generation: n randomly picked examples from the pool.
-		n := cfg.ExamplesPerPrompt
+		n := examplesPerPrompt
 		if n > len(res.Pool) {
 			n = len(res.Pool)
 		}
@@ -287,7 +281,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			accept = false // near-duplicate that does not improve anything
 		}
 		if accept {
-			res.Pool = insertSnippet(res.Pool, Snippet{Source: resp.Text, Score: score}, cfg.PoolSize)
+			res.Pool = insertSnippet(res.Pool, Snippet{Source: resp.Text, Score: score})
 		}
 
 		// Temperature adaptation (simulated-annealing flavored): good
@@ -342,15 +336,15 @@ func poolMin(pool []Snippet) float64 {
 	return m
 }
 
-// insertSnippet keeps the pool sorted by score, capped at size.
-func insertSnippet(pool []Snippet, sn Snippet, size int) []Snippet {
+// insertSnippet keeps the pool sorted by score, capped at poolSize.
+func insertSnippet(pool []Snippet, sn Snippet) []Snippet {
 	pool = append(pool, sn)
 	// Insertion sort step (pool is small).
 	for i := len(pool) - 1; i > 0 && pool[i].Score > pool[i-1].Score; i-- {
 		pool[i], pool[i-1] = pool[i-1], pool[i]
 	}
-	if len(pool) > size {
-		pool = pool[:size]
+	if len(pool) > poolSize {
+		pool = pool[:poolSize]
 	}
 	return pool
 }

@@ -1,40 +1,24 @@
 // Package synth implements the logic-synthesis substrate: it maps Verilog
 // RTL onto a NAND2-equivalent gate estimate with critical-path and power
-// models, plus light optimization passes (constant folding, common
-// subexpression sharing). It supplies the gate-level PPA numbers used by
-// the repair framework's stage 4 and the LLSM-style synthesis-assist
-// experiment (deliberately, it performs no automatic strength reduction —
-// that is the rewrite the LLM contributes).
+// models. It maps every operator literally: no constant folding, sharing
+// or strength reduction (the last is the rewrite the LLM contributes). It
+// supplies the gate-level PPA numbers of the Fig. 6 agent's synthesis
+// stage and the LLSM-style synthesis-assist experiment.
 package synth
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"llm4eda/internal/core"
 	"llm4eda/internal/verilog"
 )
 
-// Options parameterize synthesis.
-type Options struct {
-	// OptLevel 0 = literal mapping; 1 = constant folding + CSE (default 1).
-	OptLevel int
-	// ClockMHz for dynamic power (default 100).
-	ClockMHz float64
-	// ToggleRate is the average switching activity (default 0.15).
-	ToggleRate float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ClockMHz == 0 {
-		o.ClockMHz = 100
-	}
-	if o.ToggleRate == 0 {
-		o.ToggleRate = 0.15
-	}
-	return o
-}
+// The dynamic-power model's clock and average switching activity.
+const (
+	clockMHz   = 100
+	toggleRate = 0.15
+)
 
 // Result is the synthesis report for one top module (hierarchy included).
 type Result struct {
@@ -45,9 +29,6 @@ type Result struct {
 	DelayNS  float64
 	PowerMW  float64
 	OpCounts map[string]int
-	// FoldedOps and SharedOps count optimization effects (OptLevel >= 1).
-	FoldedOps int
-	SharedOps int
 }
 
 // PPA folds the result into the shared triple.
@@ -63,13 +44,12 @@ func (r *Result) String() string {
 
 // SynthesizeRTL parses the source and estimates PPA for the top module,
 // recursing through instantiated modules.
-func SynthesizeRTL(src, top string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+func SynthesizeRTL(src, top string) (*Result, error) {
 	file, err := verilog.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %w", err)
 	}
-	s := &synthesizer{file: file, opts: opts, res: &Result{Top: top, OpCounts: map[string]int{}}}
+	s := &synthesizer{file: file, res: &Result{Top: top, OpCounts: map[string]int{}}}
 	if err := s.module(top, 0); err != nil {
 		return nil, err
 	}
@@ -80,13 +60,12 @@ func SynthesizeRTL(src, top string, opts Options) (*Result, error) {
 	if r.DelayNS < 0.5 {
 		r.DelayNS = 0.5
 	}
-	r.PowerMW = r.Gates*opts.ToggleRate*opts.ClockMHz*0.000012 + r.Gates*0.00045
+	r.PowerMW = r.Gates*toggleRate*clockMHz*0.000012 + r.Gates*0.00045
 	return r, nil
 }
 
 type synthesizer struct {
 	file *verilog.SourceFile
-	opts Options
 	res  *Result
 }
 
@@ -110,8 +89,7 @@ func (s *synthesizer) module(name string, depth int) error {
 		}
 	}
 
-	seenExpr := map[string]bool{} // CSE across the module
-	w := &walker{s: s, widths: widths, seen: seenExpr}
+	w := &walker{s: s, widths: widths}
 
 	for _, item := range mod.Items {
 		switch it := item.(type) {
@@ -169,7 +147,6 @@ func exprWidth(e verilog.Expr) int {
 type walker struct {
 	s      *synthesizer
 	widths map[string]int
-	seen   map[string]bool
 }
 
 func (w *walker) width(e verilog.Expr) int {
@@ -224,7 +201,7 @@ func gateCost(op string, n float64) (float64, float64) {
 	}
 }
 
-// isConst reports whether an expression is a literal (after folding).
+// isConst reports whether an expression is built from literals only.
 func isConst(e verilog.Expr) bool {
 	switch n := e.(type) {
 	case *verilog.Number:
@@ -235,36 +212,6 @@ func isConst(e verilog.Expr) bool {
 		return isConst(n.X) && isConst(n.Y)
 	default:
 		return false
-	}
-}
-
-// key renders a canonical string for CSE matching.
-func exprKey(e verilog.Expr) string {
-	switch n := e.(type) {
-	case *verilog.Ident:
-		return n.Name
-	case *verilog.Number:
-		return n.Val.String()
-	case *verilog.Unary:
-		return n.Op + "(" + exprKey(n.X) + ")"
-	case *verilog.Binary:
-		return "(" + exprKey(n.X) + n.Op + exprKey(n.Y) + ")"
-	case *verilog.Ternary:
-		return "(" + exprKey(n.Cond) + "?" + exprKey(n.Then) + ":" + exprKey(n.Else) + ")"
-	case *verilog.Index:
-		return exprKey(n.X) + "[" + exprKey(n.Idx) + "]"
-	case *verilog.PartSelect:
-		return exprKey(n.X) + "[" + exprKey(n.MSB) + ":" + exprKey(n.LSB) + "]"
-	case *verilog.Concat:
-		parts := make([]string, len(n.Parts))
-		for i, p := range n.Parts {
-			parts[i] = exprKey(p)
-		}
-		return "{" + strings.Join(parts, ",") + "}"
-	case *verilog.Repeat:
-		return "{" + exprKey(n.Count) + "{" + exprKey(n.X) + "}}"
-	default:
-		return fmt.Sprintf("%T", e)
 	}
 }
 
@@ -279,7 +226,7 @@ func (w *walker) expr(e verilog.Expr, targetWidth int) float64 {
 		if n.Op == "~" || n.Op == "!" {
 			gates = float64(w.width(n.X)) * 0.5
 		}
-		w.charge(n, n.Op, gates)
+		w.charge(n.Op, gates)
 		return d + dly
 	case *verilog.Binary:
 		wd := float64(max(w.width(n.X), w.width(n.Y)))
@@ -288,16 +235,12 @@ func (w *walker) expr(e verilog.Expr, targetWidth int) float64 {
 		if dy > dx {
 			dx = dy
 		}
-		if w.s.opts.OptLevel >= 1 && isConst(n.X) && isConst(n.Y) {
-			w.s.res.FoldedOps++
-			return 0
-		}
 		gates, dly := gateCost(n.Op, wd)
 		// Shifts by a constant are wiring, not gates.
 		if (n.Op == "<<" || n.Op == ">>" || n.Op == "<<<" || n.Op == ">>>") && isConst(n.Y) {
 			gates, dly = 0, 0
 		}
-		w.charge(n, n.Op, gates)
+		w.charge(n.Op, gates)
 		return dx + dly
 	case *verilog.Ternary:
 		wd := float64(targetWidth)
@@ -307,7 +250,7 @@ func (w *walker) expr(e verilog.Expr, targetWidth int) float64 {
 		if de > dt {
 			dt = de
 		}
-		w.charge(n, "mux", 3*wd)
+		w.charge("mux", 3*wd)
 		return d + dt + 0.25
 	case *verilog.Concat:
 		var dmax float64
@@ -321,7 +264,7 @@ func (w *walker) expr(e verilog.Expr, targetWidth int) float64 {
 		return w.expr(n.X, w.width(n.X))
 	case *verilog.Index:
 		d := w.expr(n.Idx, 8)
-		w.charge(n, "select", 2*float64(w.width(n.X))/8+2)
+		w.charge("select", 2*float64(w.width(n.X))/8+2)
 		return d + 0.5
 	case *verilog.PartSelect:
 		return w.expr(n.X, targetWidth)
@@ -332,17 +275,8 @@ func (w *walker) expr(e verilog.Expr, targetWidth int) float64 {
 	}
 }
 
-// charge adds gates for an operator instance unless CSE already paid for
-// an identical expression.
-func (w *walker) charge(e verilog.Expr, op string, gates float64) {
-	if w.s.opts.OptLevel >= 1 {
-		k := exprKey(e)
-		if w.seen[k] {
-			w.s.res.SharedOps++
-			return
-		}
-		w.seen[k] = true
-	}
+// charge adds gates for one operator instance.
+func (w *walker) charge(op string, gates float64) {
 	w.s.res.OpCounts[op]++
 	w.s.res.Gates += gates
 }
@@ -366,7 +300,7 @@ func (w *walker) stmt(st verilog.Stmt) float64 {
 		return w.expr(n.RHS, wd)
 	case *verilog.IfStmt:
 		d := w.expr(n.Cond, 1)
-		w.charge(n.Cond, "mux", 3) // enable mux share
+		w.charge("mux", 3) // enable mux share
 		dt := w.stmt(n.Then)
 		de := w.stmt(n.Else)
 		if de > dt {
@@ -379,7 +313,7 @@ func (w *walker) stmt(st verilog.Stmt) float64 {
 		for _, item := range n.Items {
 			for _, le := range item.Exprs {
 				w.expr(le, w.width(n.Subject))
-				w.charge(le, "cmp", 3*float64(w.width(n.Subject)))
+				w.charge("cmp", 3*float64(w.width(n.Subject)))
 			}
 			if dd := w.stmt(item.Body); dd > dmax {
 				dmax = dd

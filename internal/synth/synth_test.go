@@ -8,7 +8,7 @@ import (
 
 func TestSynthesizeAdder(t *testing.T) {
 	p := benchset.ByID("adder4")
-	r, err := SynthesizeRTL(p.Reference, p.TopModule, Options{})
+	r, err := SynthesizeRTL(p.Reference, p.TopModule)
 	if err != nil {
 		t.Fatalf("SynthesizeRTL: %v", err)
 	}
@@ -20,11 +20,11 @@ func TestSynthesizeAdder(t *testing.T) {
 func TestMultiplierCostsMoreThanAdder(t *testing.T) {
 	add := benchset.ByID("adder4")
 	mul := benchset.ByID("mult4")
-	ra, err := SynthesizeRTL(add.Reference, add.TopModule, Options{})
+	ra, err := SynthesizeRTL(add.Reference, add.TopModule)
 	if err != nil {
 		t.Fatalf("adder: %v", err)
 	}
-	rm, err := SynthesizeRTL(mul.Reference, mul.TopModule, Options{})
+	rm, err := SynthesizeRTL(mul.Reference, mul.TopModule)
 	if err != nil {
 		t.Fatalf("mult: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestMultiplierCostsMoreThanAdder(t *testing.T) {
 
 func TestSequentialCountsRegs(t *testing.T) {
 	p := benchset.ByID("counter8")
-	r, err := SynthesizeRTL(p.Reference, p.TopModule, Options{})
+	r, err := SynthesizeRTL(p.Reference, p.TopModule)
 	if err != nil {
 		t.Fatalf("SynthesizeRTL: %v", err)
 	}
@@ -57,40 +57,16 @@ endmodule`
 	shiftSrc := `module m(input [7:0] a, output [7:0] y);
   assign y = (a << 2);
 endmodule`
-	rm, err := SynthesizeRTL(mulSrc, "m", Options{})
+	rm, err := SynthesizeRTL(mulSrc, "m")
 	if err != nil {
 		t.Fatalf("mul: %v", err)
 	}
-	rs, err := SynthesizeRTL(shiftSrc, "m", Options{})
+	rs, err := SynthesizeRTL(shiftSrc, "m")
 	if err != nil {
 		t.Fatalf("shift: %v", err)
 	}
 	if rm.Gates <= rs.Gates {
 		t.Errorf("mul-by-const gates %.0f <= shift gates %.0f", rm.Gates, rs.Gates)
-	}
-}
-
-func TestOptLevelFoldsAndShares(t *testing.T) {
-	src := `module m(input [7:0] a, output [7:0] y, output [7:0] z);
-  assign y = (a + 8'd3) + (2 + 5);
-  assign z = (a + 8'd3) + 1;
-endmodule`
-	r0, err := SynthesizeRTL(src, "m", Options{OptLevel: 0, ClockMHz: 100, ToggleRate: 0.15})
-	if err != nil {
-		t.Fatalf("opt0: %v", err)
-	}
-	r1, err := SynthesizeRTL(src, "m", Options{OptLevel: 1})
-	if err != nil {
-		t.Fatalf("opt1: %v", err)
-	}
-	if r1.Gates >= r0.Gates {
-		t.Errorf("opt1 gates %.0f >= opt0 %.0f", r1.Gates, r0.Gates)
-	}
-	if r1.FoldedOps == 0 {
-		t.Error("constant folding never fired")
-	}
-	if r1.SharedOps == 0 {
-		t.Error("CSE never fired")
 	}
 }
 
@@ -104,11 +80,11 @@ module top(input [7:0] a, output [7:0] y);
   leaf l1(.a(a), .y(t));
   leaf l2(.a(t), .y(y));
 endmodule`
-	rt, err := SynthesizeRTL(src, "top", Options{OptLevel: 0})
+	rt, err := SynthesizeRTL(src, "top")
 	if err != nil {
 		t.Fatalf("top: %v", err)
 	}
-	rl, err := SynthesizeRTL(src, "leaf", Options{OptLevel: 0})
+	rl, err := SynthesizeRTL(src, "leaf")
 	if err != nil {
 		t.Fatalf("leaf: %v", err)
 	}
@@ -118,10 +94,10 @@ endmodule`
 }
 
 func TestUnknownModule(t *testing.T) {
-	if _, err := SynthesizeRTL("module m(); endmodule", "nope", Options{}); err == nil {
+	if _, err := SynthesizeRTL("module m(); endmodule", "nope"); err == nil {
 		t.Error("expected unknown-module error")
 	}
-	if _, err := SynthesizeRTL("not verilog", "m", Options{}); err == nil {
+	if _, err := SynthesizeRTL("not verilog", "m"); err == nil {
 		t.Error("expected parse error")
 	}
 }
@@ -130,7 +106,7 @@ func TestAllBenchmarkReferencesSynthesize(t *testing.T) {
 	for _, p := range benchset.Suite() {
 		p := p
 		t.Run(p.ID, func(t *testing.T) {
-			r, err := SynthesizeRTL(p.Reference, p.TopModule, Options{})
+			r, err := SynthesizeRTL(p.Reference, p.TopModule)
 			if err != nil {
 				t.Fatalf("SynthesizeRTL: %v", err)
 			}

@@ -217,7 +217,7 @@ type lowerer struct {
 	prog *Program
 
 	code   []Instr // scratch; trimmed into prog.code by finish
-	consts []Value // scratch; deduplicated linearly, trimmed by finish
+	consts []Value // scratch; trimmed by finish
 
 	// Display-lowering scratch: literal segments intern into litIntern
 	// (testbenches repeat the same few literals thousands of times) and
@@ -375,15 +375,8 @@ func (lw *lowerer) refSlot(pc int, field uint8, s int32) {
 	lw.slots = append(lw.slots, slotRef{pc: pc, field: field})
 }
 
-// constant interns v into the constant pool. Pools are small (a handful
-// of literals per statement-rich body), so a linear scan beats a map —
-// no per-program map allocation, no hashing.
+// constant appends v to the constant pool and returns its index.
 func (lw *lowerer) constant(v Value) int32 {
-	for i, c := range lw.consts {
-		if c == v {
-			return int32(i)
-		}
-	}
 	lw.consts = append(lw.consts, v)
 	return int32(len(lw.consts) - 1)
 }

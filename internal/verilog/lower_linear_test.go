@@ -29,6 +29,8 @@ func TestLoweringLinearInExpressionSize(t *testing.T) {
 		{"not", strings.Repeat("~", n) + "a", n + 1, "3"},
 		// A constant chain folds to one literal.
 		{"const", "1" + strings.Repeat(" + 1", n), 2*n + 1, fmt.Sprint((n + 1) % 256)},
+		// a + 1 + 2 + … + n: n distinct constants, (3 + n(n+1)/2) mod 256.
+		{"distinct", "a" + distinctTerms(n), 2*n + 1, fmt.Sprint((3 + n*(n+1)/2) % 256)},
 	}
 	for _, c := range cases {
 		src := "module tb; reg [7:0] a; wire [7:0] y; assign y = " + c.rhs + ";\n" +
@@ -50,4 +52,13 @@ func TestLoweringLinearInExpressionSize(t *testing.T) {
 			t.Errorf("%s: lowering %d nodes took %d visits, want at most %d", c.name, c.nodes, visits, 2*c.nodes)
 		}
 	}
+}
+
+// distinctTerms renders " + 1 + 2 + … + n".
+func distinctTerms(n int) string {
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, " + %d", i)
+	}
+	return b.String()
 }

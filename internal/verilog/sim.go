@@ -86,34 +86,6 @@ type simOutput struct {
 // outBufPool recycles simulation output buffers.
 var outBufPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
 
-// valSlabPool recycles the per-run Value slab (signal store plus both
-// register regions). Value contains no pointers, so pooled slabs cost
-// the garbage collector nothing to retain.
-var valSlabPool = sync.Pool{New: func() any { return []Value(nil) }}
-
-func getValSlab(n int) []Value {
-	s := valSlabPool.Get().([]Value)
-	if cap(s) < n {
-		return make([]Value, n)
-	}
-	return s[:n]
-}
-
-// boolSlabPool recycles the per-run caBusy slab.
-var boolSlabPool = sync.Pool{New: func() any { return []bool(nil) }}
-
-func getBoolSlab(n int) []bool {
-	s := boolSlabPool.Get().([]bool)
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
 func (o *simOutput) Len() int { return len(o.b) }
 
 func (o *simOutput) Write(p []byte) (int, error) {
@@ -239,14 +211,11 @@ type Simulator struct {
 	// (design.caRegOff/procRegOff), so wide multi-word operations run
 	// entirely on preallocated scratch — no VM op allocates, and a
 	// store's change wave re-entering another assign's program cannot
-	// clobber live registers. Together with store they live on one
-	// pooled slab (valSlab) recycled across simulations.
+	// clobber live registers. Together with store they live on one slab.
 	caRegs   []Value
 	procRegs []Value
-	valSlab  []Value
 	// caBusy guards each compiled assign's register region against
-	// same-assign re-entry (see evalContAssign). It lives on a pooled
-	// bool slab.
+	// same-assign re-entry (see evalContAssign).
 	caBusy []bool
 
 	watchers [][]watchRef // event-waiting processes, indexed by SignalID
@@ -289,19 +258,17 @@ type Simulator struct {
 // NewSimulator prepares a simulator for one run over the design.
 func NewSimulator(d *Design, opts SimOptions) *Simulator {
 	opts = opts.withDefaults()
-	// One pooled slab backs all Value state. The store region is fully
-	// initialized to X below; the register regions are written before
-	// they are read by construction of the lowering (expression stack
-	// discipline), so recycled contents are never observable.
-	slab := getValSlab(d.totalWords + d.caRegTotal + d.procRegTotal)
+	// One slab backs all Value state. The store region is initialized
+	// to X below; the register regions are written before they are read
+	// by construction of the lowering (expression stack discipline).
+	slab := make([]Value, d.totalWords+d.caRegTotal+d.procRegTotal)
 	s := &Simulator{
 		design:     d,
 		opts:       opts,
-		valSlab:    slab,
 		store:      slab[:d.totalWords],
 		caRegs:     slab[d.totalWords : d.totalWords+d.caRegTotal],
 		procRegs:   slab[d.totalWords+d.caRegTotal:],
-		caBusy:     getBoolSlab(len(d.assigns)),
+		caBusy:     make([]bool, len(d.assigns)),
 		watchers:   make([][]watchRef, len(d.Signals)),
 		watchSweep: make([]int32, len(d.Signals)),
 		rngState:   opts.Seed*2862933555777941757 + 3037000493,
@@ -330,9 +297,8 @@ func (s *Simulator) Run() (*SimResult, error) {
 	}
 
 	// Every process starts active at t=0, in declaration order. One slab
-	// holds all runners and the pooled valSlab holds every register
-	// file: per-run setup is two allocations, and no VM op allocates
-	// later.
+	// holds all runners and the Value slab holds every register file:
+	// per-run setup is two allocations, and no VM op allocates later.
 	runners := make([]runner, len(s.design.procs))
 	s.active = make([]*runner, 0, 2*len(runners))
 	for i, pr := range s.design.procs {
@@ -364,12 +330,6 @@ func (s *Simulator) Run() (*SimResult, error) {
 			res.FinalMem[sig.Name] = FormatWords(s.words(sig.ID), sig.Width)
 		}
 	}
-	// The result holds copies of everything it needs; recycle the Value
-	// slab. The Simulator is documented single-use — drop the views so a
-	// misuse fails loudly instead of corrupting a later run's state.
-	valSlabPool.Put(s.valSlab)
-	boolSlabPool.Put(s.caBusy)
-	s.valSlab, s.store, s.caRegs, s.procRegs, s.caBusy = nil, nil, nil, nil, nil
 	return res, nil
 }
 
@@ -644,8 +604,8 @@ func (s *Simulator) wakeWatchers(c changeRec) {
 }
 
 // evalContAssign recomputes one continuous assignment and writes its
-// LHS: its evaluate-and-store program runs through vmRun on the pooled
-// scratch slab.
+// LHS: its evaluate-and-store program runs through vmRun on its scratch
+// region of the Value slab.
 func (s *Simulator) evalContAssign(idx int) {
 	ca := s.design.assigns[idx]
 	if s.probe != nil {
@@ -699,9 +659,9 @@ func CompileAndRun(src, top string, opts SimOptions) (*SimResult, error) {
 
 // RunTestbench pairs a DUT source with a testbench source, compiles them
 // under the testbench top and simulates it. It compiles on every call;
-// simfarm.RunTestbench is the cached equivalent the frameworks score
-// candidates through. Its diagnostics are phrased the way an EDA tool
-// would phrase them.
+// the simulation farm (internal/simfarm) is the cached path the
+// frameworks score candidates through. Its diagnostics are phrased the
+// way an EDA tool would phrase them.
 func RunTestbench(dutSrc, tbSrc, tbTop string, opts SimOptions) (*SimResult, error) {
 	cd, err := CompileSources(tbTop, dutSrc, tbSrc)
 	if err != nil {

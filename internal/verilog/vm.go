@@ -9,7 +9,7 @@ import (
 // register-machine dispatch loop shared by behavioral processes (their
 // runner carries the resumable pc, register file and watch entry) and
 // continuous assignments (no runner: straight-line evaluate-and-store
-// programs on a per-assign scratch region of the simulator's pooled
+// programs on a per-assign scratch region of the simulator's
 // register slab). Suspension is a plain pc: a delay or event wait stores
 // the resume position on the runner and returns, so the PR 3 dispatch
 // model carries over with an integer where the continuation stack was.

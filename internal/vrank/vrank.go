@@ -29,7 +29,6 @@ type Options struct {
 	K int
 	// Temperature for sampling diversity (default 0.9).
 	Temperature float64
-	Sim         verilog.SimOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -102,8 +101,8 @@ const sbCacheCap = 128
 
 // Signature simulates a candidate on the stimulus bench and returns its
 // output fingerprint ("" when the candidate does not compile).
-func Signature(p *benchset.Problem, source string, sim verilog.SimOptions) string {
-	sigs, _ := Signatures(context.Background(), p, []string{source}, sim, 1)
+func Signature(p *benchset.Problem, source string) string {
+	sigs, _ := Signatures(context.Background(), p, []string{source}, 1)
 	return sigs[0]
 }
 
@@ -150,11 +149,11 @@ func benchFinals(res *verilog.SimResult) string {
 // concurrently (workers <= 0 selects GOMAXPROCS). Output order matches
 // the input and is bit-identical to calling Signature in a serial loop.
 // A cancelled ctx aborts the batch within one job and returns ctx.Err().
-func Signatures(ctx context.Context, p *benchset.Problem, sources []string, sim verilog.SimOptions, workers int) ([]string, error) {
+func Signatures(ctx context.Context, p *benchset.Problem, sources []string, workers int) ([]string, error) {
 	sb := StimulusBench(p.Testbench())
 	jobs := make([]simfarm.Job, len(sources))
 	for i, src := range sources {
-		jobs[i] = simfarm.Job{DUT: src, TB: sb, Top: benchTop, Opts: sim}
+		jobs[i] = simfarm.Job{DUT: src, TB: sb, Top: benchTop}
 	}
 	results, err := simfarm.RunManyCtx(ctx, jobs, workers)
 	out := make([]string, len(sources))
@@ -211,7 +210,7 @@ func Rank(ctx context.Context, p *benchset.Problem, opts Options) (*Result, erro
 
 	// One stimulus-bench compile, k candidate signatures in parallel.
 	var err error
-	res.Signatures, err = Signatures(ctx, p, res.Sources, opts.Sim, opts.Workers)
+	res.Signatures, err = Signatures(ctx, p, res.Sources, opts.Workers)
 	if err != nil {
 		return res, err
 	}
@@ -249,7 +248,7 @@ func Rank(ctx context.Context, p *benchset.Problem, opts Options) (*Result, erro
 	tb := p.Testbench()
 	oracleJobs := make([]simfarm.Job, len(res.Sources))
 	for i, src := range res.Sources {
-		oracleJobs[i] = simfarm.Job{DUT: src, TB: tb, Top: benchTop, Opts: opts.Sim}
+		oracleJobs[i] = simfarm.Job{DUT: src, TB: tb, Top: benchTop}
 	}
 	oracle, err := simfarm.RunManyCtx(ctx, oracleJobs, opts.Workers)
 	if err != nil {

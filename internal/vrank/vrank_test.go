@@ -28,15 +28,15 @@ func TestStimulusBenchHasNoChecks(t *testing.T) {
 
 func TestSignatureSeparatesGoodFromBad(t *testing.T) {
 	p := benchset.ByID("adder4")
-	good := Signature(p, p.Reference, verilog.SimOptions{})
-	bad := Signature(p, strings.Replace(p.Reference, "a + b + cin", "a - b + cin", 1), verilog.SimOptions{})
+	good := Signature(p, p.Reference)
+	bad := Signature(p, strings.Replace(p.Reference, "a + b + cin", "a - b + cin", 1))
 	if good == "" || bad == "" {
 		t.Fatal("signatures empty")
 	}
 	if good == bad {
 		t.Error("buggy design has identical signature")
 	}
-	if Signature(p, "module adder4(; endmodule", verilog.SimOptions{}) != "" {
+	if Signature(p, "module adder4(; endmodule") != "" {
 		t.Error("non-compiling candidate should have empty signature")
 	}
 }

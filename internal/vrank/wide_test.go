@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"llm4eda/internal/benchset"
-	"llm4eda/internal/verilog"
 )
 
 // wideProblem models the wide-output blind spot: the bench captures the
@@ -55,7 +54,7 @@ func TestWideOutputsSplitClusters(t *testing.T) {
 	candA := wideCandidate("1") // hi = 64'h1000...
 	candB := wideCandidate("9") // hi = 64'h9000...
 
-	sigs, err := Signatures(context.Background(), p, []string{candA, candB}, verilog.SimOptions{}, 1)
+	sigs, err := Signatures(context.Background(), p, []string{candA, candB}, 1)
 	if err != nil {
 		t.Fatalf("Signatures: %v", err)
 	}
@@ -91,7 +90,7 @@ module wsrc(output [63:0] lo, output [63:0] hi);
   assign hi = stage_b;
 endmodule`
 
-	sigs, err := Signatures(context.Background(), p, []string{direct, internal}, verilog.SimOptions{}, 1)
+	sigs, err := Signatures(context.Background(), p, []string{direct, internal}, 1)
 	if err != nil {
 		t.Fatalf("Signatures: %v", err)
 	}

@@ -3,6 +3,7 @@ package xdebug
 import (
 	"strings"
 
+	"llm4eda/internal/benchset"
 	"llm4eda/internal/chdl"
 	"llm4eda/internal/verilog"
 )
@@ -50,7 +51,7 @@ func (h *Harness) localize(tr *rtlTrace, candidate string) *Diagnosis {
 				continue
 			}
 			got := tr.vals[e][oi]
-			if !got.IsFullyKnown() || int64(got.Uint()&maskBits(ob.width)) != h.want[e][oi].v {
+			if !got.IsFullyKnown() || int64(got.Uint()&benchset.MaskBits(ob.width)) != h.want[e][oi].v {
 				div[e][oi] = true
 				c++
 			}
@@ -107,7 +108,7 @@ func (h *Harness) localize(tr *rtlTrace, candidate string) *Diagnosis {
 		Signal:      ob.signal,
 		Inputs:      h.vectors[e],
 		Expected:    h.want[e][best].v,
-		Actual:      got.Uint() & maskBits(ob.width),
+		Actual:      got.Uint() & benchset.MaskBits(ob.width),
 		ActualKnown: got.IsFullyKnown(),
 	}
 
@@ -133,7 +134,7 @@ func (h *Harness) localize(tr *rtlTrace, candidate string) *Diagnosis {
 		d.Window = append(d.Window, WavePoint{
 			Epoch:    k,
 			Expected: h.want[k][best].v,
-			Actual:   v.Uint() & maskBits(ob.width),
+			Actual:   v.Uint() & benchset.MaskBits(ob.width),
 			Known:    v.IsFullyKnown(),
 			Diverged: div[k][best],
 		})
@@ -166,7 +167,7 @@ func (h *Harness) cFaultDiagnosis(e, oi int) *Diagnosis {
 // tracing, giving the repair prompt the C model's view of the same
 // computation.
 func (h *Harness) cTrace(e, oi int) []CStep {
-	interp, err := chdl.NewInterp(h.prog, chdl.InterpOptions{})
+	interp, err := chdl.NewInterp(h.prog)
 	if err != nil {
 		return nil
 	}

@@ -233,7 +233,7 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 		h.obs = append(h.obs, observable{name: out.Name, signal: out.Name, width: out.Width, port: true})
 	}
 
-	h.vectors = stimuli(h.inputs, nVectors)
+	h.vectors = benchset.Stimuli(h.inputs, nVectors)
 	h.bench = buildBench(p.TopModule, h.inputs, outputs, h.vectors)
 
 	// Resolve XAlign internal observables against the reference design:
@@ -269,7 +269,7 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 		h.want[vi] = make([]cell, len(h.obs))
 		args := h.args(vi)
 		for oi, ob := range h.obs {
-			interp, err := chdl.NewInterp(prog, chdl.InterpOptions{})
+			interp, err := chdl.NewInterp(prog)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +283,7 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 				h.want[vi][oi] = c
 				continue
 			}
-			h.want[vi][oi] = cell{v: v & int64(maskBits(ob.width))}
+			h.want[vi][oi] = cell{v: v & int64(benchset.MaskBits(ob.width))}
 		}
 	}
 	return h, nil
@@ -303,41 +303,6 @@ const (
 	benchTop  = "xdbg"
 	benchInst = "duv"
 )
-
-// stimuli produces deterministic corner-plus-random vectors (the same
-// shape crosscheck drives, so verdicts are comparable across the two
-// frameworks).
-func stimuli(inputs []benchset.Port, n int) []map[string]uint64 {
-	var out []map[string]uint64
-	state := uint64(0xC0FFEE12345678)
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	corners := []func(w int) uint64{
-		func(int) uint64 { return 0 },
-		func(w int) uint64 { return maskBits(w) },
-		func(w int) uint64 { return 0x5555555555555555 & maskBits(w) },
-		func(int) uint64 { return 1 },
-	}
-	for _, c := range corners {
-		vec := map[string]uint64{}
-		for _, in := range inputs {
-			vec[in.Name] = c(in.Width)
-		}
-		out = append(out, vec)
-	}
-	for len(out) < n {
-		vec := map[string]uint64{}
-		for _, in := range inputs {
-			vec[in.Name] = next() & maskBits(in.Width)
-		}
-		out = append(out, vec)
-	}
-	return out
-}
 
 // buildBench emits the trace bench: drive vector i at time i, settle one
 // time unit. No $display — observation happens through the probe, so
@@ -372,11 +337,4 @@ func buildBench(top string, inputs, outputs []benchset.Port, vectors []map[strin
 	}
 	b.WriteString("    $finish;\n  end\nendmodule\n")
 	return b.String()
-}
-
-func maskBits(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w)) - 1
 }
