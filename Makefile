@@ -53,14 +53,19 @@ golden:
 # cache probe against a map plus a recency slice (FuzzLRU in
 # internal/simfarm), and the C interpreter on arbitrary C text, each
 # function run serially and concurrently over one shared Program
-# (FuzzCInterp in internal/chdl). A failing input lands in the package's
-# testdata/fuzz/<target>; commit it with the fix, and plain `go test`
-# replays it from then on.
+# (FuzzCInterp in internal/chdl), and the processor model's fused loop
+# against the two-stage model it replaced on programs decoded from the
+# fuzz bytes (FuzzRunMatchesReference in internal/boom; each input runs
+# up to 50,000 instructions twice, so minimizing a new input is capped at
+# 100 runs rather than 60 s, which would stall a 5 s smoke). A failing
+# input lands in the package's testdata/fuzz/<target>; commit it with the
+# fix, and plain `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScore$$' -fuzztime 5s ./internal/slt
 	$(GO) test -run '^$$' -fuzz '^FuzzBroadcasterCursor$$' -fuzztime 5s ./internal/edaserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s ./internal/simfarm
 	$(GO) test -run '^$$' -fuzz '^FuzzCInterp$$' -fuzztime 5s ./internal/chdl
+	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/boom
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks

@@ -132,51 +132,265 @@ func (r *Result) String() string {
 var ErrTrap = errors.New("boom: execution trap")
 
 // Run executes the program to HALT (or the instruction bound) and returns
-// timing, activity and power results.
+// timing, activity and power results. One loop does all the work: for
+// each instruction it applies the functional effect, with the L1D and
+// gshare updates, and advances the interval timing model by it. A HALT or
+// a trap retires nothing.
 func Run(p *isa.Program, opts RunOptions) *Result {
 	maxInsts := opts.MaxInsts
 	if maxInsts == 0 {
 		maxInsts = 1_000_000
 	}
-	m := newMachine(p)
+	insts := p.Insts
+	classes := make([]isa.FUClass, len(insts))
+	for i := range insts {
+		classes[i] = insts[i].Op.Class()
+	}
+	m := newMachine()
+	r := &m.regs
 	res := &Result{}
 
-	var rec instRec
-	for res.Insts < maxInsts {
-		halt, trap := m.exec(&rec)
-		if trap != nil {
-			res.Trap = trap
+	// Timing state. The retire point only moves forward, so it is also
+	// the run's last retire cycle.
+	var (
+		fetchCycle, retireAt               uint64
+		fetchInGroup, retiredHere, ringPos int
+	)
+	pc := p.Start
+	n := uint64(0)
+run:
+	for ; n < maxInsts; n++ {
+		if pc < 0 || pc >= len(insts) {
+			res.Trap = fmt.Errorf("%w: pc %d out of range", ErrTrap, pc)
 			break
 		}
-		if halt {
+		in := &insts[pc]
+		cls := classes[pc]
+		next := pc + 1
+		lat, occupancy := uint64(aluLat), uint64(1) // pipelined units accept one op per cycle
+		var (
+			wait         uint64  // a load's forwarded store completion
+			slot         *uint64 // a store's forwarding entry
+			addr         int32
+			mispredicted bool
+		)
+		// x0 is hard-wired to zero: a write to it is undone below.
+		switch in.Op {
+		case isa.OpHalt:
 			res.Halted = true
-			res.ReturnValue = m.regs[isa.RegA0]
-			break
-		}
-		res.Insts++
-		res.ClassCounts[rec.class]++
-		m.timeInstruction(&rec)
-		if rec.class == isa.FUBranch && rec.conditional {
+			res.ReturnValue = r[isa.RegA0]
+			break run
+		case isa.OpAdd:
+			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+		case isa.OpSub:
+			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+		case isa.OpAnd:
+			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+		case isa.OpOr:
+			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+		case isa.OpXor:
+			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+		case isa.OpSll:
+			r[in.Rd] = r[in.Rs1] << (uint32(r[in.Rs2]) & 31)
+		case isa.OpSrl:
+			r[in.Rd] = int32(uint32(r[in.Rs1]) >> (uint32(r[in.Rs2]) & 31))
+		case isa.OpSra:
+			r[in.Rd] = r[in.Rs1] >> (uint32(r[in.Rs2]) & 31)
+		case isa.OpSlt:
+			r[in.Rd] = boolReg(r[in.Rs1] < r[in.Rs2])
+		case isa.OpSltu:
+			r[in.Rd] = boolReg(uint32(r[in.Rs1]) < uint32(r[in.Rs2]))
+		case isa.OpMul:
+			r[in.Rd] = int32(int64(r[in.Rs1]) * int64(r[in.Rs2]))
+			lat = mulLat
+		case isa.OpMulh:
+			r[in.Rd] = int32((int64(r[in.Rs1]) * int64(r[in.Rs2])) >> 32)
+			lat = mulLat
+		case isa.OpDiv:
+			// RISC-V: division by zero yields -1, overflow yields dividend.
+			a, b := r[in.Rs1], r[in.Rs2]
+			switch {
+			case b == 0:
+				r[in.Rd] = -1
+			case a == -1<<31 && b == -1:
+				r[in.Rd] = a
+			default:
+				r[in.Rd] = a / b
+			}
+			lat, occupancy = divLat, divLat // unpipelined
+		case isa.OpRem:
+			a, b := r[in.Rs1], r[in.Rs2]
+			switch {
+			case b == 0:
+				r[in.Rd] = a
+			case a == -1<<31 && b == -1:
+				r[in.Rd] = 0
+			default:
+				r[in.Rd] = a % b
+			}
+			lat, occupancy = divLat, divLat
+		case isa.OpAddi:
+			r[in.Rd] = r[in.Rs1] + int32(in.Imm)
+		case isa.OpAndi:
+			r[in.Rd] = r[in.Rs1] & int32(in.Imm)
+		case isa.OpOri:
+			r[in.Rd] = r[in.Rs1] | int32(in.Imm)
+		case isa.OpXori:
+			r[in.Rd] = r[in.Rs1] ^ int32(in.Imm)
+		case isa.OpSlli:
+			r[in.Rd] = r[in.Rs1] << (uint32(in.Imm) & 31)
+		case isa.OpSrli:
+			r[in.Rd] = int32(uint32(r[in.Rs1]) >> (uint32(in.Imm) & 31))
+		case isa.OpSrai:
+			r[in.Rd] = r[in.Rs1] >> (uint32(in.Imm) & 31)
+		case isa.OpSlti:
+			r[in.Rd] = boolReg(r[in.Rs1] < int32(in.Imm))
+		case isa.OpLui:
+			r[in.Rd] = int32(in.Imm) << 12
+		case isa.OpLw:
+			addr = r[in.Rs1] + int32(in.Imm)
+			if addr < 0 || addr >= memWords {
+				res.Trap = fmt.Errorf("%w: load address %d out of range at pc %d", ErrTrap, addr, pc)
+				break run
+			}
+			res.CacheAccess++
+			lat = hitLat
+			if m.cacheAccess(addr) {
+				res.CacheMisses++
+				lat = missLat
+			}
+			var v int32
+			if pg := m.pages[addr>>pageBits]; pg != nil {
+				v = pg.words[addr&(pageWords-1)]
+				if f := pg.fwd[addr&(pageWords-1)]; f != 0 {
+					wait = f - 1
+				}
+			}
+			r[in.Rd] = v
+		case isa.OpSw:
+			addr = r[in.Rs1] + int32(in.Imm)
+			if addr < 0 || addr >= memWords {
+				res.Trap = fmt.Errorf("%w: store address %d out of range at pc %d", ErrTrap, addr, pc)
+				break run
+			}
+			res.CacheAccess++
+			lat = hitLat
+			if m.cacheAccess(addr) {
+				res.CacheMisses++
+				lat = missLat
+			}
+			pg := m.pages[addr>>pageBits]
+			if pg == nil {
+				pg = new(page)
+				m.pages[addr>>pageBits] = pg
+			}
+			pg.words[addr&(pageWords-1)] = r[in.Rs2]
+			slot = &pg.fwd[addr&(pageWords-1)]
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
+			taken := false
+			a, b := r[in.Rs1], r[in.Rs2]
+			switch in.Op {
+			case isa.OpBeq:
+				taken = a == b
+			case isa.OpBne:
+				taken = a != b
+			case isa.OpBlt:
+				taken = a < b
+			case isa.OpBge:
+				taken = a >= b
+			case isa.OpBltu:
+				taken = uint32(a) < uint32(b)
+			case isa.OpBgeu:
+				taken = uint32(a) >= uint32(b)
+			}
 			res.Branches++
-			if rec.mispredicted {
+			if mispredicted = !m.predictBranch(pc, taken); mispredicted {
 				res.Mispredicts++
 			}
-		}
-		if rec.class == isa.FULoad || rec.class == isa.FUStore {
-			res.CacheAccess++
-			if rec.cacheMiss {
-				res.CacheMisses++
+			if taken {
+				next = int(in.Imm)
 			}
+		case isa.OpJal:
+			r[in.Rd] = int32(pc + 1)
+			next = int(in.Imm)
+		case isa.OpJalr:
+			t := int(r[in.Rs1]) + int(in.Imm)
+			r[in.Rd] = int32(pc + 1)
+			next = t
+		default:
+			res.Trap = fmt.Errorf("%w: illegal opcode %v at pc %d", ErrTrap, in.Op, pc)
+			break run
+		}
+		r[0] = 0
+		pc = next
+		res.ClassCounts[cls]++
+
+		// Fetch bandwidth: fetchWidth instructions per cycle.
+		fetchInGroup++
+		if fetchInGroup >= fetchWidth {
+			fetchInGroup = 0
+			fetchCycle++
+		}
+		dispatch := fetchCycle
+		// ROB window: cannot dispatch until the slot from robSize ago
+		// retired, and fetch stalls along with dispatch backpressure.
+		if old := m.retireRing[ringPos]; old > dispatch {
+			dispatch = old
+			fetchCycle = old
+		}
+		// Source readiness, including a load's wait on the store it reads.
+		ready := max(dispatch, m.regReady[in.Rs1], m.regReady[in.Rs2], wait)
+
+		// FU arbitration: the earliest-free unit of the class, the lowest
+		// on a tie, from two compares, which cover maxUnits = 3. A class's
+		// missing units are never free (newMachine).
+		units := &m.fuFree[cls]
+		best := 0
+		if units[1] < units[0] {
+			best = 1
+		}
+		if units[2] < units[best] {
+			best = 2
+		}
+		issue := max(ready, units[best])
+		units[best] = issue + occupancy
+		complete := issue + lat
+		m.regReady[in.Rd] = complete
+		m.regReady[0] = 0
+		if slot != nil {
+			m.forward(slot, addr, complete)
+		}
+
+		// Branch resolution: mispredicts refill the frontend.
+		if redirect := complete + mispredictPenalty; mispredicted && redirect > fetchCycle {
+			fetchCycle = redirect
+			fetchInGroup = 0
+		}
+
+		// In-order retire with commitWidth per cycle.
+		retire := max(complete, retireAt)
+		if retire == retireAt {
+			retiredHere++
+			if retiredHere >= commitWidth {
+				retire++
+				retiredHere = 0
+			}
+		} else {
+			retiredHere = 1
+		}
+		retireAt = retire
+		m.retireRing[ringPos] = retire
+		ringPos++
+		if ringPos == robSize {
+			ringPos = 0
 		}
 	}
+	res.Insts = n
 	if !res.Halted && res.Trap == nil {
 		res.TimedOut = true
 	}
 
-	res.Cycles = m.lastRetire
-	if res.Cycles == 0 {
-		res.Cycles = 1
-	}
+	res.Cycles = max(retireAt, 1)
 	res.IPC = float64(res.Insts) / float64(res.Cycles)
 	applyPower(res)
 	return res
@@ -206,18 +420,6 @@ func applyPower(res *Result) {
 
 // --- machine state --------------------------------------------------------
 
-// instRec carries what the timing model needs about one retired instruction.
-type instRec struct {
-	class        isa.FUClass
-	rs1, rs2, rd int
-	memAddr      int32
-	conditional  bool
-	mispredicted bool
-	cacheMiss    bool
-	isLoad       bool
-	isStore      bool
-}
-
 // Data memory is paged: a page is allocated by the first store into it,
 // and a word no store has touched reads 0. A page also holds its words'
 // store-to-load forwarding entries.
@@ -236,22 +438,16 @@ type page struct {
 	fwd [pageWords]uint64
 }
 
+// machine is the state one run carries between instructions beyond Run's
+// locals.
 type machine struct {
-	prog  *isa.Program
 	regs  [32]int32
 	pages [memWords / pageWords]*page
-	pc    int
 
 	// timing state
-	regReady     [32]uint64
-	fuFree       [numClasses][maxUnits]uint64
-	retireRing   [robSize]uint64 // retire cycles of the last robSize insts
-	ringPos      int
-	fetchCycle   uint64
-	fetchInGroup int
-	lastRetire   uint64
-	retireAt     uint64
-	retiredHere  int
+	regReady   [32]uint64
+	fuFree     [numClasses][maxUnits]uint64 // free cycle of each unit
+	retireRing [robSize]uint64              // retire cycles of the last robSize insts
 
 	// branch predictor (gshare)
 	ghr   uint32
@@ -267,10 +463,19 @@ type machine struct {
 	forwarded []int32
 }
 
-func newMachine(p *isa.Program) *machine {
-	m := &machine{prog: p, pc: p.Start}
+// noUnit is the free cycle of a unit a class does not have, so the
+// earliest-free choice among maxUnits never picks it.
+const noUnit = ^uint64(0)
+
+func newMachine() *machine {
+	m := &machine{}
 	m.regs[isa.RegSP] = memWords - 1
 	m.regs[isa.RegGP] = 0
+	for c := range m.fuFree {
+		for u := unitCount[c]; u < maxUnits; u++ {
+			m.fuFree[c][u] = noUnit
+		}
+	}
 	for set := range m.tags {
 		for w := range m.tags[set] {
 			m.tags[set][w] = -1
@@ -328,151 +533,6 @@ func boolBit(b bool) uint32 {
 	return 0
 }
 
-// exec functionally executes the instruction at pc, advancing pc, and
-// fills rec for the timing model. It reports whether the instruction was
-// HALT.
-func (m *machine) exec(rec *instRec) (bool, error) {
-	if m.pc < 0 || m.pc >= len(m.prog.Insts) {
-		return false, fmt.Errorf("%w: pc %d out of range", ErrTrap, m.pc)
-	}
-	in := &m.prog.Insts[m.pc]
-	*rec = instRec{class: in.Op.Class(), rs1: in.Rs1, rs2: in.Rs2, rd: in.Rd}
-	r := &m.regs
-	rd := func(v int32) {
-		if in.Rd != 0 {
-			r[in.Rd] = v
-		}
-	}
-	next := m.pc + 1
-	switch in.Op {
-	case isa.OpHalt:
-		return true, nil
-	case isa.OpAdd:
-		rd(r[in.Rs1] + r[in.Rs2])
-	case isa.OpSub:
-		rd(r[in.Rs1] - r[in.Rs2])
-	case isa.OpAnd:
-		rd(r[in.Rs1] & r[in.Rs2])
-	case isa.OpOr:
-		rd(r[in.Rs1] | r[in.Rs2])
-	case isa.OpXor:
-		rd(r[in.Rs1] ^ r[in.Rs2])
-	case isa.OpSll:
-		rd(r[in.Rs1] << (uint32(r[in.Rs2]) & 31))
-	case isa.OpSrl:
-		rd(int32(uint32(r[in.Rs1]) >> (uint32(r[in.Rs2]) & 31)))
-	case isa.OpSra:
-		rd(r[in.Rs1] >> (uint32(r[in.Rs2]) & 31))
-	case isa.OpSlt:
-		rd(boolReg(r[in.Rs1] < r[in.Rs2]))
-	case isa.OpSltu:
-		rd(boolReg(uint32(r[in.Rs1]) < uint32(r[in.Rs2])))
-	case isa.OpMul:
-		rd(int32(int64(r[in.Rs1]) * int64(r[in.Rs2])))
-	case isa.OpMulh:
-		rd(int32((int64(r[in.Rs1]) * int64(r[in.Rs2])) >> 32))
-	case isa.OpDiv:
-		// RISC-V: division by zero yields -1, overflow yields dividend.
-		a, b := r[in.Rs1], r[in.Rs2]
-		switch {
-		case b == 0:
-			rd(-1)
-		case a == -1<<31 && b == -1:
-			rd(a)
-		default:
-			rd(a / b)
-		}
-	case isa.OpRem:
-		a, b := r[in.Rs1], r[in.Rs2]
-		switch {
-		case b == 0:
-			rd(a)
-		case a == -1<<31 && b == -1:
-			rd(0)
-		default:
-			rd(a % b)
-		}
-	case isa.OpAddi:
-		rd(r[in.Rs1] + int32(in.Imm))
-	case isa.OpAndi:
-		rd(r[in.Rs1] & int32(in.Imm))
-	case isa.OpOri:
-		rd(r[in.Rs1] | int32(in.Imm))
-	case isa.OpXori:
-		rd(r[in.Rs1] ^ int32(in.Imm))
-	case isa.OpSlli:
-		rd(r[in.Rs1] << (uint32(in.Imm) & 31))
-	case isa.OpSrli:
-		rd(int32(uint32(r[in.Rs1]) >> (uint32(in.Imm) & 31)))
-	case isa.OpSrai:
-		rd(r[in.Rs1] >> (uint32(in.Imm) & 31))
-	case isa.OpSlti:
-		rd(boolReg(r[in.Rs1] < int32(in.Imm)))
-	case isa.OpLui:
-		rd(int32(in.Imm) << 12)
-	case isa.OpLw:
-		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || addr >= memWords {
-			return false, fmt.Errorf("%w: load address %d out of range at pc %d", ErrTrap, addr, m.pc)
-		}
-		rec.memAddr = addr
-		rec.isLoad = true
-		rec.cacheMiss = m.cacheAccess(addr)
-		var v int32
-		if pg := m.pages[addr>>pageBits]; pg != nil {
-			v = pg.words[addr&(pageWords-1)]
-		}
-		rd(v)
-	case isa.OpSw:
-		addr := r[in.Rs1] + int32(in.Imm)
-		if addr < 0 || addr >= memWords {
-			return false, fmt.Errorf("%w: store address %d out of range at pc %d", ErrTrap, addr, m.pc)
-		}
-		rec.memAddr = addr
-		rec.isStore = true
-		rec.cacheMiss = m.cacheAccess(addr)
-		pg := m.pages[addr>>pageBits]
-		if pg == nil {
-			pg = new(page)
-			m.pages[addr>>pageBits] = pg
-		}
-		pg.words[addr&(pageWords-1)] = m.regs[in.Rs2]
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		taken := false
-		a, b := r[in.Rs1], r[in.Rs2]
-		switch in.Op {
-		case isa.OpBeq:
-			taken = a == b
-		case isa.OpBne:
-			taken = a != b
-		case isa.OpBlt:
-			taken = a < b
-		case isa.OpBge:
-			taken = a >= b
-		case isa.OpBltu:
-			taken = uint32(a) < uint32(b)
-		case isa.OpBgeu:
-			taken = uint32(a) >= uint32(b)
-		}
-		rec.conditional = true
-		rec.mispredicted = !m.predictBranch(m.pc, taken)
-		if taken {
-			next = int(in.Imm)
-		}
-	case isa.OpJal:
-		rd(int32(m.pc + 1))
-		next = int(in.Imm)
-	case isa.OpJalr:
-		t := int(r[in.Rs1]) + int(in.Imm)
-		rd(int32(m.pc + 1))
-		next = t
-	default:
-		return false, fmt.Errorf("%w: illegal opcode %v at pc %d", ErrTrap, in.Op, m.pc)
-	}
-	m.pc = next
-	return false, nil
-}
-
 func boolReg(b bool) int32 {
 	if b {
 		return 1
@@ -480,116 +540,10 @@ func boolReg(b bool) int32 {
 	return 0
 }
 
-// timeInstruction advances the interval timing model by one instruction.
-func (m *machine) timeInstruction(rec *instRec) {
-	// Fetch bandwidth: fetchWidth instructions per cycle.
-	m.fetchInGroup++
-	if m.fetchInGroup >= fetchWidth {
-		m.fetchInGroup = 0
-		m.fetchCycle++
-	}
-	dispatch := m.fetchCycle
-
-	// ROB window: cannot dispatch until the slot from robSize ago retired.
-	if old := m.retireRing[m.ringPos]; old > dispatch {
-		dispatch = old
-		// Fetch stalls along with dispatch backpressure.
-		m.fetchCycle = old
-	}
-
-	// Source readiness.
-	ready := dispatch
-	if t := m.regReady[rec.rs1]; t > ready {
-		ready = t
-	}
-	if t := m.regReady[rec.rs2]; t > ready {
-		ready = t
-	}
-	if rec.isLoad {
-		if pg := m.pages[rec.memAddr>>pageBits]; pg != nil {
-			if f := pg.fwd[rec.memAddr&(pageWords-1)]; f != 0 && f-1 > ready {
-				ready = f - 1
-			}
-		}
-	}
-
-	// FU arbitration: earliest-free unit of the class.
-	units := &m.fuFree[rec.class]
-	best := 0
-	for u := 1; u < unitCount[rec.class]; u++ {
-		if units[u] < units[best] {
-			best = u
-		}
-	}
-	issue := ready
-	if units[best] > issue {
-		issue = units[best]
-	}
-
-	lat := uint64(aluLat)
-	occupancy := uint64(1) // pipelined units accept one op per cycle
-	switch rec.class {
-	case isa.FUMul:
-		lat = mulLat
-	case isa.FUDiv:
-		lat = divLat
-		occupancy = divLat // unpipelined
-	case isa.FULoad, isa.FUStore:
-		if rec.cacheMiss {
-			lat = missLat
-		} else {
-			lat = hitLat
-		}
-	}
-	units[best] = issue + occupancy
-	complete := issue + lat
-
-	if rec.rd != 0 {
-		m.regReady[rec.rd] = complete
-	}
-	if rec.isStore {
-		m.forward(rec.memAddr, complete)
-	}
-
-	// Branch resolution: mispredicts refill the frontend.
-	if rec.mispredicted {
-		redirect := complete + mispredictPenalty
-		if redirect > m.fetchCycle {
-			m.fetchCycle = redirect
-			m.fetchInGroup = 0
-		}
-	}
-
-	// In-order retire with commitWidth per cycle.
-	retire := complete
-	if retire < m.retireAt {
-		retire = m.retireAt
-	}
-	if retire == m.retireAt {
-		m.retiredHere++
-		if m.retiredHere >= commitWidth {
-			retire++
-			m.retiredHere = 0
-		}
-	} else {
-		m.retiredHere = 1
-	}
-	m.retireAt = retire
-	m.retireRing[m.ringPos] = retire
-	m.ringPos++
-	if m.ringPos == robSize {
-		m.ringPos = 0
-	}
-	if retire > m.lastRetire {
-		m.lastRetire = retire
-	}
-}
-
-// forward records a store's completion cycle as its word's forwarding
-// entry. The insert that takes the table past maxForward words clears
-// every entry, the new one included.
-func (m *machine) forward(addr int32, complete uint64) {
-	slot := &m.pages[addr>>pageBits].fwd[addr&(pageWords-1)]
+// forward records a store's completion cycle in slot, the forwarding
+// entry of the word at addr. The insert that takes the table past
+// maxForward words clears every entry, the new one included.
+func (m *machine) forward(slot *uint64, addr int32, complete uint64) {
 	if *slot == 0 {
 		m.forwarded = append(m.forwarded, addr)
 	}

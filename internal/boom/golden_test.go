@@ -43,6 +43,33 @@ type goldenRun struct {
 	RuntimeSBits uint64            `json:"runtime_s_bits"`
 }
 
+// loadGolden reads the 52 programs of testdata/boom_golden.json.
+func loadGolden(tb testing.TB) []goldenProgram {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "boom_golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var progs []goldenProgram
+	if err := json.Unmarshal(raw, &progs); err != nil {
+		tb.Fatal(err)
+	}
+	const programs = 52
+	if len(progs) != programs {
+		tb.Fatalf("fixture holds %d programs, want %d", len(progs), programs)
+	}
+	return progs
+}
+
+// program builds the fixture entry's isa.Program.
+func (g goldenProgram) program() *isa.Program {
+	p := &isa.Program{Start: g.Start, Insts: make([]isa.Inst, len(g.Insts))}
+	for i, in := range g.Insts {
+		p.Insts[i] = isa.Inst{Op: isa.Op(in[0]), Rd: int(in[1]), Rs1: int(in[2]), Rs2: int(in[3]), Imm: in[4]}
+	}
+	return p
+}
+
 func recordRun(maxInsts uint64, res *Result) goldenRun {
 	g := goldenRun{
 		MaxInsts:     maxInsts,
@@ -84,23 +111,8 @@ func recordRun(maxInsts uint64, res *Result) goldenRun {
 // value copies and dense memory were removed. There is no update path: a
 // divergence is a model regression, not a fixture change.
 func TestResultGolden(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "boom_golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []goldenProgram
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	const programs = 52
-	if len(want) != programs {
-		t.Fatalf("fixture holds %d programs, want %d", len(want), programs)
-	}
-	for _, prog := range want {
-		p := &isa.Program{Start: prog.Start, Insts: make([]isa.Inst, len(prog.Insts))}
-		for i, in := range prog.Insts {
-			p.Insts[i] = isa.Inst{Op: isa.Op(in[0]), Rd: int(in[1]), Rs1: int(in[2]), Rs2: int(in[3]), Imm: in[4]}
-		}
+	for _, prog := range loadGolden(t) {
+		p := prog.program()
 		for _, w := range prog.Runs {
 			got := recordRun(w.MaxInsts, Run(p, RunOptions{MaxInsts: w.MaxInsts}))
 			gj, _ := json.Marshal(got)
@@ -161,5 +173,23 @@ func TestROBWindowGolden(t *testing.T) {
 	wj, _ := json.Marshal(want)
 	if string(gj) != string(wj) {
 		t.Errorf("run diverged from the recorded Result\n want %s\n  got %s", wj, gj)
+	}
+}
+
+// benchResult keeps BenchmarkRun's results live.
+var benchResult *Result
+
+// BenchmarkRun scores the 52 fixture programs at their 400,000-instruction
+// window, the window the SLT and GP pipelines run under.
+func BenchmarkRun(b *testing.B) {
+	var progs []*isa.Program
+	for _, g := range loadGolden(b) {
+		progs = append(progs, g.program())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			benchResult = Run(p, RunOptions{MaxInsts: 400_000})
+		}
 	}
 }

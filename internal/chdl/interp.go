@@ -3,6 +3,7 @@ package chdl
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -71,6 +72,7 @@ type Interp struct {
 	maxSteps int64
 	globals  []*varSlot // nil until every global is initialized
 	out      strings.Builder
+	scratch  []byte // printf's and puts's format and output bytes
 	steps    int64
 	rngState int64
 	depth    int
@@ -986,8 +988,10 @@ func (fr *frame) call(n *node) (RtVal, error) {
 
 	case bPuts:
 		if len(args) == 1 && args[0].Buf != nil && in.out.Len() < maxCOutput {
-			in.out.WriteString(cString(args[0]))
-			in.out.WriteByte('\n')
+			base := len(in.scratch)
+			in.scratch = append(appendCString(in.scratch, args[0]), '\n')
+			in.out.Write(in.scratch[base:])
+			in.scratch = in.scratch[:base]
 		}
 		return IntVal(1), nil
 
@@ -1049,24 +1053,28 @@ func noArgsErr(n *node) (RtVal, error) {
 
 const maxCOutput = 1 << 20
 
-// cString reads a NUL-terminated cell string; a null pointer or one
-// before the start of its buffer reads as an empty string.
-func cString(v RtVal) string {
+// appendCString appends the NUL-terminated cell string v points at; a
+// null pointer or one before the start of its buffer reads as empty.
+func appendCString(b []byte, v RtVal) []byte {
 	if v.Buf == nil {
-		return ""
+		return b
 	}
-	var b strings.Builder
 	for i := v.Off; i >= 0 && i < len(v.Buf.data); i++ {
 		c := v.Buf.data[i]
 		if c == 0 {
 			break
 		}
-		b.WriteByte(byte(c))
+		b = append(b, byte(c))
 	}
-	return b.String()
+	return b
 }
 
-// printf implements the %d/%u/%x/%c/%s/%ld/%lu/%% verbs.
+// printf implements the %d/%u/%x/%c/%s/%ld/%lu/%% verbs. It formats in
+// the interpreter's scratch buffer: the format string's bytes go in
+// first, read before any argument is evaluated (an argument may write
+// into the format buffer), and the output follows them. An argument may
+// call printf itself, which appends past this call's bytes and truncates
+// back to them, so this call addresses the buffer by offsets.
 func (fr *frame) printf(n *node) (RtVal, error) {
 	if len(n.args) == 0 {
 		return IntVal(0), nil
@@ -1078,16 +1086,21 @@ func (fr *frame) printf(n *node) (RtVal, error) {
 	if !fmtv.IsPtr {
 		return RtVal{}, &RuntimeError{Line: n.line, Msg: "printf format must be a string"}
 	}
-	format := cString(fmtv)
-	var args []RtVal
+	in := fr.in
+	base := len(in.scratch)
+	in.scratch = appendCString(in.scratch, fmtv)
+	end := len(in.scratch)
+	var argv [8]RtVal
+	args := argv[:0]
 	for _, a := range n.args[1:] {
 		v, err := fr.eval(a)
 		if err != nil {
+			in.scratch = in.scratch[:base]
 			return RtVal{}, err
 		}
 		args = append(args, v)
 	}
-	var b strings.Builder
+	b := in.scratch[:end]
 	ai := 0
 	nextArg := func() RtVal {
 		if ai < len(args) {
@@ -1097,48 +1110,48 @@ func (fr *frame) printf(n *node) (RtVal, error) {
 		}
 		return RtVal{}
 	}
-	for i := 0; i < len(format); i++ {
-		c := format[i]
+	for i := base; i < end; i++ {
+		c := b[i]
 		if c != '%' {
-			b.WriteByte(c)
+			b = append(b, c)
 			continue
 		}
 		i++
 		// Skip flags/width and length modifiers.
-		for i < len(format) && (format[i] == '-' || format[i] == '0' || format[i] == ' ' ||
-			(format[i] >= '0' && format[i] <= '9') || format[i] == 'l' || format[i] == 'z' || format[i] == '.') {
+		for i < end && (b[i] == '-' || b[i] == '0' || b[i] == ' ' ||
+			(b[i] >= '0' && b[i] <= '9') || b[i] == 'l' || b[i] == 'z' || b[i] == '.') {
 			i++
 		}
-		if i >= len(format) {
+		if i >= end {
 			break
 		}
-		switch format[i] {
+		switch b[i] {
 		case 'd', 'i':
-			fmt.Fprintf(&b, "%d", nextArg().I)
+			b = strconv.AppendInt(b, nextArg().I, 10)
 		case 'u':
-			fmt.Fprintf(&b, "%d", uint64(nextArg().I))
+			b = strconv.AppendUint(b, uint64(nextArg().I), 10)
 		case 'x':
-			fmt.Fprintf(&b, "%x", uint64(nextArg().I))
+			b = strconv.AppendUint(b, uint64(nextArg().I), 16)
 		case 'c':
-			b.WriteByte(byte(nextArg().I))
+			b = append(b, byte(nextArg().I))
 		case 's':
-			v := nextArg()
-			if v.IsPtr && v.Buf != nil {
-				b.WriteString(cString(v))
+			if v := nextArg(); v.IsPtr {
+				b = appendCString(b, v)
 			}
 		case 'f', 'g':
-			fmt.Fprintf(&b, "%d.0", nextArg().I)
+			b = append(strconv.AppendInt(b, nextArg().I, 10), ".0"...)
 		case 'p':
-			fmt.Fprintf(&b, "ptr+%d", nextArg().Off)
+			b = strconv.AppendInt(append(b, "ptr+"...), int64(nextArg().Off), 10)
 		case '%':
-			b.WriteByte('%')
+			b = append(b, '%')
 		default:
-			b.WriteByte('%')
-			b.WriteByte(format[i])
+			b = append(b, '%', b[i])
 		}
 	}
-	if fr.in.out.Len() < maxCOutput {
-		fr.in.out.WriteString(b.String())
+	out := b[end:]
+	if in.out.Len() < maxCOutput {
+		in.out.Write(out)
 	}
-	return IntVal(int64(b.Len())), nil
+	in.scratch = b[:base]
+	return IntVal(int64(len(out))), nil
 }

@@ -11,7 +11,11 @@ import (
 // redeclarations, references before a declaration, globals initialized
 // from earlier globals and from functions, fresh storage per execution of
 // a declaration, and the runtime errors. Each want line was produced by
-// the map-scoped interpreter that the slot-resolved one replaced.
+// the map-scoped interpreter that the slot-resolved one replaced, except
+// the two printf cases, produced by the fmt-based printf that the
+// scratch-buffer one replaced: the format is read before the arguments
+// run, %s reads its buffer when it is formatted, and a printf inside an
+// argument prints first.
 var scopingCases = []struct {
 	name, src string
 	args      []int64
@@ -114,6 +118,11 @@ int f(int c) { int s = 0; { if (c & 1) int x = 10; { if (c & 2) int x = 20; s = 
 		`101 <nil> steps=24 out="" br=map[] tr=[]`},
 	{"str", `int f(int c) { char *s = "hi"; printf("%s %d %x %c %u %p %% %q|", s, -5, 255, 65, -1, s + 1); puts("x"); putchar(66); return s[1]; }`, []int64{0},
 		`105 <nil> steps=25 out="hi -5 ff A 18446744073709551615 ptr+1 % %q|x\nB" br=map[] tr=[]`},
+	{"printf-order", `int g(char *s) { s[0] = 'Z'; printf("[%d%s]", 7, s); return 3; }
+int f(int c) { char b[4]; b[0] = '%'; b[1] = 'd'; b[2] = '|'; b[3] = 0; printf(b, g(b)); b[0] = '%'; printf("%s%d|", b, g(b)); printf("%d%d%d%d%d%d%d%d%d%d%c|", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 65, 66); return printf(b, printf("%x", 255)); }`, []int64{0},
+		`3 <nil> steps=82 out="[7Zd|]3|[7Zd|]Zd|3|0123456789A|ffZd|" br=map[] tr=[2:b=37 2:b=100 2:b=124 2:b=0 1:s=90 2:b=37 1:s=90]`},
+	{"printf-arg-error", `int f(int c) { printf("a%s", c / 0); return 0; }`, []int64{0},
+		`0 C runtime error at line 1: division by zero steps=6 out="" br=map[] tr=[]`},
 	{"rand", `int f(int c) { srand(c); int a = rand(); int b = rand(); return (a ^ b) & 1023; }`, []int64{3},
 		`1016 <nil> steps=13 out="" br=map[] tr=[1:a=243117059 1:b=697555963]`},
 	{"assert", `int f(int c) { assert(c > 5); return 1; }`, []int64{3},

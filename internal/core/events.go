@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // EventKind classifies run events.
@@ -60,10 +61,23 @@ func KindFromString(s string) (EventKind, bool) {
 	return 0, false
 }
 
+// quotedKinds holds each canonical kind's name as a JSON string.
+var quotedKinds = func() (q [EventNote + 1][]byte) {
+	for k := EventRunStart; k <= EventNote; k++ {
+		b, _ := json.Marshal(k.String()) // a string always encodes
+		q[k] = slices.Clip(b)
+	}
+	return q
+}()
+
 // MarshalJSON encodes the kind as its canonical name, so an event stream
 // on the wire reads "run-start", not an ordinal that would silently shift
-// if kinds were ever reordered.
+// if kinds were ever reordered. A canonical kind's name is encoded once,
+// at start-up; the returned slice is shared and must not be modified.
 func (k EventKind) MarshalJSON() ([]byte, error) {
+	if k >= EventRunStart && k <= EventNote {
+		return quotedKinds[k], nil
+	}
 	return json.Marshal(k.String())
 }
 

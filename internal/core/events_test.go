@@ -47,6 +47,22 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
+// TestEventKindMarshalMatchesName checks the precomputed names against
+// encoding each kind's String, for every canonical kind and for kinds
+// outside them.
+func TestEventKindMarshalMatchesName(t *testing.T) {
+	for k := EventKind(-1); k <= EventNote+1; k++ {
+		got, err := k.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		want, _ := json.Marshal(k.String())
+		if !bytes.Equal(got, want) {
+			t.Errorf("kind %d encodes as %s, want %s", int(k), got, want)
+		}
+	}
+}
+
 func TestRunSpecValidate(t *testing.T) {
 	good := []RunSpec{
 		{},
