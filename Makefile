@@ -53,19 +53,26 @@ golden:
 # cache probe against a map plus a recency slice (FuzzLRU in
 # internal/simfarm), and the C interpreter on arbitrary C text, each
 # function run serially and concurrently over one shared Program
-# (FuzzCInterp in internal/chdl), and the processor model's fused loop
+# (FuzzCInterp in internal/chdl), the processor model's fused loop
 # against the two-stage model it replaced on programs decoded from the
-# fuzz bytes (FuzzRunMatchesReference in internal/boom; each input runs
-# up to 50,000 instructions twice, so minimizing a new input is capped at
-# 100 runs rather than 60 s, which would stall a 5 s smoke). A failing
-# input lands in the package's testdata/fuzz/<target>; commit it with the
-# fix, and plain `go test` replays it from then on.
+# fuzz bytes (FuzzRunMatchesReference in internal/boom), the GP
+# fitness's functional screen, isa.Interpret, against that model on the
+# same programs: halted with the same a0, trapped, or out of window
+# (FuzzInterpretMatchesRun in internal/boom; each input of the two boom
+# targets runs up to 50,000 instructions twice, so minimizing a new input
+# is capped at 100 runs rather than 60 s, which would stall a 5 s smoke),
+# and arbitrary bytes through the job service's spec decode, then
+# Normalize, which must be idempotent, and ValidateIn (FuzzSpecJSON in
+# eda). A failing input lands in the package's testdata/fuzz/<target>;
+# commit it with the fix, and plain `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScore$$' -fuzztime 5s ./internal/slt
 	$(GO) test -run '^$$' -fuzz '^FuzzBroadcasterCursor$$' -fuzztime 5s ./internal/edaserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s ./internal/simfarm
 	$(GO) test -run '^$$' -fuzz '^FuzzCInterp$$' -fuzztime 5s ./internal/chdl
 	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/boom
+	$(GO) test -run '^$$' -fuzz '^FuzzInterpretMatchesRun$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/boom
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 5s ./eda
 
 # Race-check the concurrent batch-simulation engine, every package whose
 # scoring runs on worker pools, the front-door API (its event sinks

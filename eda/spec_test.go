@@ -1,6 +1,7 @@
 package eda_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -202,4 +203,37 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if _, err := bad.JSON(); err != nil {
 		t.Errorf("unencodable detail: JSON() = %v, want graceful degradation", err)
 	}
+}
+
+// FuzzSpecJSON feeds arbitrary bytes through the job service's decode
+// rules for a submitted spec (one JSON value, unknown fields rejected),
+// then normalizes and validates what decodes against the default
+// registry. Nothing may panic, Normalize must be idempotent, and
+// normalizing twice must not change whether ValidateIn accepts the spec.
+// The corpus holds one spec per framework, from quickSpecs.
+func FuzzSpecJSON(f *testing.F) {
+	for _, spec := range quickSpecs() {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	reg := eda.DefaultRegistry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var spec eda.Spec
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		once := reg.Normalize(spec)
+		twice := reg.Normalize(once)
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("Normalize is not idempotent:\n once  %+v\n twice %+v", once, twice)
+		}
+		if e1, e2 := once.ValidateIn(reg), twice.ValidateIn(reg); (e1 == nil) != (e2 == nil) {
+			t.Fatalf("a second Normalize changed the verdict: %v, then %v", e1, e2)
+		}
+	})
 }

@@ -75,6 +75,15 @@ type RunOptions struct {
 	MaxInsts uint64
 }
 
+// Window is the instruction bound Run applies: MaxInsts, or 1,000,000
+// when it is 0.
+func (o RunOptions) Window() uint64 {
+	if o.MaxInsts == 0 {
+		return 1_000_000
+	}
+	return o.MaxInsts
+}
+
 // numClasses sizes the arrays indexed by isa.FUClass.
 const numClasses = isa.FUBranch + 1
 
@@ -99,7 +108,8 @@ type Result struct {
 	Halted      bool
 	// TimedOut is true when MaxInsts was exhausted before HALT.
 	TimedOut bool
-	// Trap holds a fatal execution error (bad memory access, bad PC).
+	// Trap holds a fatal execution error (bad memory access, bad PC, a
+	// register outside the register file).
 	Trap error
 
 	Insts  uint64
@@ -135,20 +145,23 @@ var ErrTrap = errors.New("boom: execution trap")
 // timing, activity and power results. One loop does all the work: for
 // each instruction it applies the functional effect, with the L1D and
 // gshare updates, and advances the interval timing model by it. A HALT or
-// a trap retires nothing.
+// a trap retires nothing. A program that names a register outside the
+// register file anywhere traps before its first instruction.
 func Run(p *isa.Program, opts RunOptions) *Result {
-	maxInsts := opts.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = 1_000_000
-	}
+	maxInsts := opts.Window()
 	insts := p.Insts
+	res := &Result{}
 	classes := make([]isa.FUClass, len(insts))
 	for i := range insts {
 		classes[i] = insts[i].Op.Class()
+		if reg, bad := insts[i].BadRegister(); bad && res.Trap == nil {
+			// The run loop below then executes nothing.
+			res.Trap = fmt.Errorf("%w: register x%d out of range at pc %d", ErrTrap, reg, i)
+			maxInsts = 0
+		}
 	}
 	m := newMachine()
 	r := &m.regs
-	res := &Result{}
 
 	// Timing state. The retire point only moves forward, so it is also
 	// the run's last retire cycle.
@@ -441,11 +454,11 @@ type page struct {
 // machine is the state one run carries between instructions beyond Run's
 // locals.
 type machine struct {
-	regs  [32]int32
+	regs  [isa.NumRegs]int32
 	pages [memWords / pageWords]*page
 
 	// timing state
-	regReady   [32]uint64
+	regReady   [isa.NumRegs]uint64
 	fuFree     [numClasses][maxUnits]uint64 // free cycle of each unit
 	retireRing [robSize]uint64              // retire cycles of the last robSize insts
 

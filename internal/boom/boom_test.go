@@ -2,6 +2,7 @@ package boom
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"llm4eda/internal/chdl"
@@ -218,5 +219,32 @@ int main() {
 	b := compileAndRun(t, src, RunOptions{})
 	if a.Cycles != b.Cycles || a.PowerW != b.PowerW || a.ReturnValue != b.ReturnValue {
 		t.Errorf("nondeterministic results: %+v vs %+v", a, b)
+	}
+}
+
+// TestRegisterOutOfRangeTraps: a program that names a register outside
+// the register file traps before its first instruction, naming the
+// register and the pc, where Run used to panic with an index out of
+// range. The bad instruction need not be reached: here it follows the
+// HALT.
+func TestRegisterOutOfRangeTraps(t *testing.T) {
+	for _, tc := range []struct {
+		insts []isa.Inst
+		want  string
+	}{
+		{[]isa.Inst{{Op: isa.OpAddi, Rd: 40, Imm: 1}, {Op: isa.OpHalt}}, "register x40 out of range at pc 0"},
+		{[]isa.Inst{{Op: isa.OpHalt}, {Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 32}}, "register x32 out of range at pc 1"},
+		{[]isa.Inst{{Op: isa.OpHalt, Rs1: -1}}, "register x-1 out of range at pc 0"},
+	} {
+		p := &isa.Program{Insts: tc.insts}
+		for _, res := range []*Result{Run(p, RunOptions{}), refRun(p, RunOptions{})} {
+			if !errors.Is(res.Trap, ErrTrap) || !strings.Contains(res.Trap.Error(), tc.want) {
+				t.Errorf("%v: trap %v, want one wrapping ErrTrap with %q", tc.insts, res.Trap, tc.want)
+			}
+			if res.Halted || res.TimedOut || res.Insts != 0 || res.Cycles != 1 {
+				t.Errorf("%v: halted %v, timed out %v, %d insts, %d cycles; want a trap before any instruction",
+					tc.insts, res.Halted, res.TimedOut, res.Insts, res.Cycles)
+			}
+		}
 	}
 }

@@ -31,15 +31,24 @@ type refMachine struct {
 
 // refRun is Run in two stages per instruction.
 func refRun(p *isa.Program, opts RunOptions) *Result {
-	maxInsts := opts.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = 1_000_000
-	}
+	maxInsts := opts.Window()
 	m := &refMachine{machine: newMachine(), prog: p, pc: p.Start}
 	res := &Result{}
 
+	// A register outside the register file anywhere in the program traps
+	// before the first instruction.
+regs:
+	for pc, in := range p.Insts {
+		for _, reg := range []int{in.Rd, in.Rs1, in.Rs2} {
+			if reg < 0 || reg >= len(m.regs) {
+				res.Trap = fmt.Errorf("%w: register x%d out of range at pc %d", ErrTrap, reg, pc)
+				break regs
+			}
+		}
+	}
+
 	var rec instRec
-	for res.Insts < maxInsts {
+	for res.Insts < maxInsts && res.Trap == nil {
 		halt, trap := m.exec(&rec)
 		if trap != nil {
 			res.Trap = trap

@@ -12,6 +12,7 @@ package gp
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"llm4eda/internal/boom"
@@ -153,19 +154,24 @@ type Result struct {
 	Evals      int
 }
 
-// score evaluates a genome on the processor model. Its rule is stricter
-// than the LLM loop's slt.Score, which measures a program still running
-// when the window (opts.MaxInsts) closes: here a genome must halt inside
-// the window, or it scores zero like one that does not compile or traps.
-// The E6 and E8 results depend on this rule.
-func score(g genome, opts boom.RunOptions) float64 {
-	src := g.render()
+// score evaluates a rendered genome on the processor model. Its rule is
+// stricter than the LLM loop's slt.Score, which measures a program still
+// running when the window (opts.MaxInsts) closes: here a genome must halt
+// inside the window, or it scores zero like one that does not compile or
+// traps. The E6 and E8 results depend on this rule. isa.Interpret screens
+// for it first: over the same window it reaches the outcome boom.Run
+// would, several times faster, so only a genome that halts pays for the
+// timing model.
+func score(src string, opts boom.RunOptions) float64 {
 	prog, err := chdl.ParseC(src)
 	if err != nil {
 		return 0
 	}
 	compiled, err := isa.Compile(prog, "main")
 	if err != nil {
+		return 0
+	}
+	if _, err := isa.Interpret(compiled, int(min(opts.Window(), math.MaxInt))); err != nil {
 		return 0
 	}
 	res := boom.Run(compiled, opts)
@@ -190,18 +196,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// the trajectory sequentially — bit-identical to the serial loop.
 	pop := make([]genome, cfg.Population)
 	fit := make([]float64, cfg.Population)
+	src := make([]string, cfg.Population)
 	for i := range pop {
 		pop[i] = randomGenome(r)
 	}
 	if err := simfarm.MapCtx(ctx, len(pop), cfg.Workers, func(i int) {
-		fit[i] = score(pop[i], cfg.Boom)
+		src[i] = pop[i].render()
+		fit[i] = score(src[i], cfg.Boom)
 	}); err != nil {
 		return res, err // cancelled during the initial population
 	}
 	for i := range pop {
 		res.Evals++
 		if fit[i] > res.Best.Score {
-			res.Best = Individual{Source: pop[i].render(), Score: fit[i]}
+			res.Best = Individual{Source: src[i], Score: fit[i]}
 		}
 		res.Trajectory = append(res.Trajectory, res.Best.Score)
 	}
@@ -218,10 +226,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		b := tournament(r, fit, tournamentK)
 		child := crossover(r, pop[a], pop[b])
 		child = mutate(r, child, mutationRate)
-		f := score(child, cfg.Boom)
+		childSrc := child.render()
+		f := score(childSrc, cfg.Boom)
 		res.Evals++
 		if f > res.Best.Score {
-			res.Best = Individual{Source: child.render(), Score: f}
+			res.Best = Individual{Source: childSrc, Score: f}
 		}
 		res.Trajectory = append(res.Trajectory, res.Best.Score)
 		sink.Emit(core.Event{

@@ -13,7 +13,12 @@ const interpMemWords = 1 << 20
 
 // Interpret runs the program functionally (no timing) from its bootstrap
 // and returns a0 at HALT. It validates compiled code independently of the
-// boom microarchitectural model.
+// boom microarchitectural model, and it is the GP fitness's screen:
+// given the same window it reaches the outcome boom.Run does (halted with
+// the same a0, trapped, or out of steps), several times faster, so only a
+// program that halts pays for the timing model. A HALT reached after
+// exactly maxSteps instructions is a step limit, as it is a timeout in
+// boom.
 func Interpret(p *Program, maxSteps int) (int32, error) {
 	return interpret(p, p.Start, nil, maxSteps)
 }
@@ -31,17 +36,50 @@ func InterpretArgs(p *Program, fn string, maxSteps int, args ...int32) (int32, e
 	return interpret(p, entry, args, maxSteps)
 }
 
+// Data memory is paged, as in boom: a page is allocated by the first
+// store into it, and a word no store has touched reads 0.
+const (
+	pageBits  = 10
+	pageWords = 1 << pageBits
+)
+
+type memory [interpMemWords / pageWords]*[pageWords]int32
+
+// load reads the word at addr, which the caller has range-checked.
+func (m *memory) load(addr int32) int32 {
+	if pg := m[addr>>pageBits]; pg != nil {
+		return pg[addr&(pageWords-1)]
+	}
+	return 0
+}
+
+// store writes the word at addr, which the caller has range-checked.
+func (m *memory) store(addr, v int32) {
+	pg := m[addr>>pageBits]
+	if pg == nil {
+		pg = new([pageWords]int32)
+		m[addr>>pageBits] = pg
+	}
+	pg[addr&(pageWords-1)] = v
+}
+
 func interpret(p *Program, startPC int, args []int32, maxSteps int) (int32, error) {
-	var regs [32]int32
-	mem := make([]int32, interpMemWords)
+	insts := p.Insts
+	for pc := range insts {
+		if r, bad := insts[pc].BadRegister(); bad {
+			return 0, fmt.Errorf("isa: register x%d out of range at pc %d", r, pc)
+		}
+	}
+	var regs [NumRegs]int32
+	mem := new(memory)
 	regs[RegSP] = int32(interpMemWords - 1)
 	pc := startPC
 
 	// Run bootstrap global initializers when entering a raw function so
 	// that globals hold their declared values.
 	if args != nil {
-		for i := 0; i < len(p.Insts); i++ {
-			in := p.Insts[i]
+		for i := 0; i < len(insts); i++ {
+			in := insts[i]
 			if in.Op == OpJal && in.Rd == RegRA {
 				break // end of the init prologue
 			}
@@ -52,8 +90,8 @@ func interpret(p *Program, startPC int, args []int32, maxSteps int) (int32, erro
 				}
 			case OpSw:
 				addr := regs[in.Rs1] + int32(in.Imm)
-				if addr >= 0 && int(addr) < len(mem) {
-					mem[addr] = regs[in.Rs2]
+				if addr >= 0 && addr < interpMemWords {
+					mem.store(addr, regs[in.Rs2])
 				}
 			}
 		}
@@ -63,7 +101,7 @@ func interpret(p *Program, startPC int, args []int32, maxSteps int) (int32, erro
 		// Return address: a synthetic halt cell (the instruction after the
 		// bootstrap call is HALT).
 		haltIdx := -1
-		for i, in := range p.Insts {
+		for i, in := range insts {
 			if in.Op == OpHalt {
 				haltIdx = i
 				break
@@ -76,94 +114,91 @@ func interpret(p *Program, startPC int, args []int32, maxSteps int) (int32, erro
 		pc = startPC
 	}
 
+	// x0 is hard-wired to zero: a write to it is undone after the
+	// instruction, as in boom.
 	for steps := 0; steps < maxSteps; steps++ {
-		if pc < 0 || pc >= len(p.Insts) {
+		if pc < 0 || pc >= len(insts) {
 			return 0, fmt.Errorf("isa: pc %d out of range", pc)
 		}
-		in := p.Insts[pc]
+		in := &insts[pc]
 		next := pc + 1
-		wr := func(v int32) {
-			if in.Rd != 0 {
-				regs[in.Rd] = v
-			}
-		}
 		switch in.Op {
 		case OpHalt:
 			return regs[RegA0], nil
 		case OpAdd:
-			wr(regs[in.Rs1] + regs[in.Rs2])
+			regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
 		case OpSub:
-			wr(regs[in.Rs1] - regs[in.Rs2])
+			regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
 		case OpAnd:
-			wr(regs[in.Rs1] & regs[in.Rs2])
+			regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
 		case OpOr:
-			wr(regs[in.Rs1] | regs[in.Rs2])
+			regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
 		case OpXor:
-			wr(regs[in.Rs1] ^ regs[in.Rs2])
+			regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
 		case OpSll:
-			wr(regs[in.Rs1] << (uint32(regs[in.Rs2]) & 31))
+			regs[in.Rd] = regs[in.Rs1] << (uint32(regs[in.Rs2]) & 31)
 		case OpSrl:
-			wr(int32(uint32(regs[in.Rs1]) >> (uint32(regs[in.Rs2]) & 31)))
+			regs[in.Rd] = int32(uint32(regs[in.Rs1]) >> (uint32(regs[in.Rs2]) & 31))
 		case OpSra:
-			wr(regs[in.Rs1] >> (uint32(regs[in.Rs2]) & 31))
+			regs[in.Rd] = regs[in.Rs1] >> (uint32(regs[in.Rs2]) & 31)
 		case OpSlt:
-			wr(b2i(regs[in.Rs1] < regs[in.Rs2]))
+			regs[in.Rd] = b2i(regs[in.Rs1] < regs[in.Rs2])
 		case OpSltu:
-			wr(b2i(uint32(regs[in.Rs1]) < uint32(regs[in.Rs2])))
+			regs[in.Rd] = b2i(uint32(regs[in.Rs1]) < uint32(regs[in.Rs2]))
 		case OpMul:
-			wr(int32(int64(regs[in.Rs1]) * int64(regs[in.Rs2])))
+			regs[in.Rd] = int32(int64(regs[in.Rs1]) * int64(regs[in.Rs2]))
 		case OpMulh:
-			wr(int32((int64(regs[in.Rs1]) * int64(regs[in.Rs2])) >> 32))
+			regs[in.Rd] = int32((int64(regs[in.Rs1]) * int64(regs[in.Rs2])) >> 32)
 		case OpDiv:
 			a, b := regs[in.Rs1], regs[in.Rs2]
 			switch {
 			case b == 0:
-				wr(-1)
+				regs[in.Rd] = -1
 			case a == -1<<31 && b == -1:
-				wr(a)
+				regs[in.Rd] = a
 			default:
-				wr(a / b)
+				regs[in.Rd] = a / b
 			}
 		case OpRem:
 			a, b := regs[in.Rs1], regs[in.Rs2]
 			switch {
 			case b == 0:
-				wr(a)
+				regs[in.Rd] = a
 			case a == -1<<31 && b == -1:
-				wr(0)
+				regs[in.Rd] = 0
 			default:
-				wr(a % b)
+				regs[in.Rd] = a % b
 			}
 		case OpAddi:
-			wr(regs[in.Rs1] + int32(in.Imm))
+			regs[in.Rd] = regs[in.Rs1] + int32(in.Imm)
 		case OpAndi:
-			wr(regs[in.Rs1] & int32(in.Imm))
+			regs[in.Rd] = regs[in.Rs1] & int32(in.Imm)
 		case OpOri:
-			wr(regs[in.Rs1] | int32(in.Imm))
+			regs[in.Rd] = regs[in.Rs1] | int32(in.Imm)
 		case OpXori:
-			wr(regs[in.Rs1] ^ int32(in.Imm))
+			regs[in.Rd] = regs[in.Rs1] ^ int32(in.Imm)
 		case OpSlli:
-			wr(regs[in.Rs1] << (uint32(in.Imm) & 31))
+			regs[in.Rd] = regs[in.Rs1] << (uint32(in.Imm) & 31)
 		case OpSrli:
-			wr(int32(uint32(regs[in.Rs1]) >> (uint32(in.Imm) & 31)))
+			regs[in.Rd] = int32(uint32(regs[in.Rs1]) >> (uint32(in.Imm) & 31))
 		case OpSrai:
-			wr(regs[in.Rs1] >> (uint32(in.Imm) & 31))
+			regs[in.Rd] = regs[in.Rs1] >> (uint32(in.Imm) & 31)
 		case OpSlti:
-			wr(b2i(regs[in.Rs1] < int32(in.Imm)))
+			regs[in.Rd] = b2i(regs[in.Rs1] < int32(in.Imm))
 		case OpLui:
-			wr(int32(in.Imm) << 12)
+			regs[in.Rd] = int32(in.Imm) << 12
 		case OpLw:
 			addr := regs[in.Rs1] + int32(in.Imm)
-			if addr < 0 || int(addr) >= len(mem) {
+			if addr < 0 || addr >= interpMemWords {
 				return 0, fmt.Errorf("isa: load address %d out of range at pc %d", addr, pc)
 			}
-			wr(mem[addr])
+			regs[in.Rd] = mem.load(addr)
 		case OpSw:
 			addr := regs[in.Rs1] + int32(in.Imm)
-			if addr < 0 || int(addr) >= len(mem) {
+			if addr < 0 || addr >= interpMemWords {
 				return 0, fmt.Errorf("isa: store address %d out of range at pc %d", addr, pc)
 			}
-			mem[addr] = regs[in.Rs2]
+			mem.store(addr, regs[in.Rs2])
 		case OpBeq:
 			if regs[in.Rs1] == regs[in.Rs2] {
 				next = int(in.Imm)
@@ -189,15 +224,16 @@ func interpret(p *Program, startPC int, args []int32, maxSteps int) (int32, erro
 				next = int(in.Imm)
 			}
 		case OpJal:
-			wr(int32(pc + 1))
+			regs[in.Rd] = int32(pc + 1)
 			next = int(in.Imm)
 		case OpJalr:
 			t := int(regs[in.Rs1]) + int(in.Imm)
-			wr(int32(pc + 1))
+			regs[in.Rd] = int32(pc + 1)
 			next = t
 		default:
 			return 0, fmt.Errorf("isa: illegal opcode %v at pc %d", in.Op, pc)
 		}
+		regs[0] = 0
 		pc = next
 	}
 	return 0, ErrISAStepLimit

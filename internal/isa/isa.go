@@ -135,8 +135,11 @@ func (o Op) IsBranch() bool {
 	}
 }
 
-// Inst is one instruction. Rd/Rs1/Rs2 are register indices (0..31, x0
-// hard-wired to zero). Imm is the immediate or, for branches/JAL, the
+// NumRegs is the size of the register file.
+const NumRegs = 32
+
+// Inst is one instruction. Rd/Rs1/Rs2 are register indices (0..NumRegs-1,
+// x0 hard-wired to zero). Imm is the immediate or, for branches/JAL, the
 // absolute target instruction index.
 type Inst struct {
 	Op  Op
@@ -144,6 +147,18 @@ type Inst struct {
 	Rs1 int
 	Rs2 int
 	Imm int64
+}
+
+// BadRegister returns the first of Rd, Rs1 and Rs2 outside
+// 0..NumRegs-1, and whether there is one. Interpret and boom.Run reject
+// a program with such an instruction anywhere before running any of it.
+func (i Inst) BadRegister() (int, bool) {
+	for _, r := range [...]int{i.Rd, i.Rs1, i.Rs2} {
+		if uint(r) >= NumRegs {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
 // String renders the instruction in assembly-like form.

@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +225,64 @@ func TestDisassembleStable(t *testing.T) {
 	d := p.Disassemble()
 	if d == "" {
 		t.Error("empty disassembly")
+	}
+}
+
+// TestInterpretRejectsBadRegister: Interpret rejects a program that
+// names a register outside the register file anywhere, before running
+// any of it, as boom.Run traps on it; before, it panicked with an index
+// out of range.
+func TestInterpretRejectsBadRegister(t *testing.T) {
+	p := &Program{Insts: []Inst{{Op: OpAddi, Rd: 40, Imm: 1}, {Op: OpHalt}}}
+	if _, err := Interpret(p, 100); err == nil || !strings.Contains(err.Error(), "register x40 out of range at pc 0") {
+		t.Errorf("Interpret: err %v, want the bad register named", err)
+	}
+	p = &Program{Insts: []Inst{{Op: OpHalt}, {Op: OpAdd, Rd: 1, Rs1: 2, Rs2: 63}}, Entry: map[string]int{"f": 0}}
+	if _, err := InterpretArgs(p, "f", 100, 1); err == nil || !strings.Contains(err.Error(), "register x63 out of range at pc 1") {
+		t.Errorf("InterpretArgs: err %v, want the bad register named", err)
+	}
+}
+
+// TestInterpretStepBoundary pins the window edge the GP screen relies
+// on: a HALT reached after exactly maxSteps instructions is a step limit,
+// as it is a timeout in boom, and one step more halts.
+func TestInterpretStepBoundary(t *testing.T) {
+	p := &Program{Insts: []Inst{
+		{Op: OpAddi, Rd: RegA0, Imm: 7},
+		{Op: OpAddi, Rd: RegZero, Rs1: RegA0, Imm: 1}, // x0 stays 0
+		{Op: OpAdd, Rd: RegA0, Rs1: RegA0, Rs2: RegZero},
+		{Op: OpHalt},
+	}}
+	if _, err := Interpret(p, 3); !errors.Is(err, ErrISAStepLimit) {
+		t.Errorf("HALT after exactly maxSteps: err %v, want ErrISAStepLimit", err)
+	}
+	if v, err := Interpret(p, 4); err != nil || v != 7 {
+		t.Errorf("Interpret = %d, %v; want 7", v, err)
+	}
+}
+
+// TestInterpretPagedMemory: words no store touched read 0, stores land
+// in the page they address, and addresses outside data memory are
+// errors, at both ends of it.
+func TestInterpretPagedMemory(t *testing.T) {
+	p := &Program{Insts: []Inst{
+		{Op: OpAddi, Rd: 5, Imm: 1234},
+		{Op: OpSw, Rs1: RegSP, Rs2: 5, Imm: 0},                  // the last word
+		{Op: OpSw, Rs1: RegZero, Rs2: 5, Imm: pageWords},        // first word of page 1
+		{Op: OpLw, Rd: 6, Rs1: RegZero, Imm: pageWords + 1},     // untouched: 0
+		{Op: OpLw, Rd: 7, Rs1: RegSP, Imm: 0},                   // 1234
+		{Op: OpLw, Rd: 8, Rs1: RegZero, Imm: 3 * pageWords / 2}, // page never stored: 0
+		{Op: OpAdd, Rd: RegA0, Rs1: 6, Rs2: 7},
+		{Op: OpAdd, Rd: RegA0, Rs1: RegA0, Rs2: 8},
+		{Op: OpHalt},
+	}}
+	if v, err := Interpret(p, 100); err != nil || v != 1234 {
+		t.Errorf("Interpret = %d, %v; want 1234", v, err)
+	}
+	for _, in := range []Inst{{Op: OpLw, Rd: 5, Rs1: RegSP, Imm: 1}, {Op: OpSw, Rs1: RegZero, Imm: -1}} {
+		bad := &Program{Insts: []Inst{in, {Op: OpHalt}}}
+		if _, err := Interpret(bad, 100); err == nil || !strings.Contains(err.Error(), "out of range at pc 0") {
+			t.Errorf("%v: err %v, want an out-of-range address", in, err)
+		}
 	}
 }
