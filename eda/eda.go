@@ -22,6 +22,8 @@ package eda
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -70,10 +72,16 @@ func (s Spec) Param(name string, def float64) float64 {
 	return def
 }
 
+// paramCaps bounds the params that size an allocation or a loop that
+// does not check the context: the candidate batch of autochip and vrank
+// (k), gp's population, and the stimulus vectors of crosscheck and xdebug.
+// 0 still selects the pipeline's default.
+var paramCaps = map[string]float64{"k": 1024, "population": 4096, "vectors": 4096}
+
 // Validate checks the spec against the default registry: the framework
 // must be registered, the envelope must be executable, every param key
-// must be known to the pipeline, and the pipeline's own payload checks
-// must pass.
+// must be known to the pipeline, every capped param must be in range, and
+// the pipeline's own payload checks must pass.
 func (s Spec) Validate() error {
 	return s.ValidateIn(DefaultRegistry())
 }
@@ -91,17 +99,14 @@ func (s Spec) ValidateIn(reg *Registry) error {
 	if err := s.Run.Validate(); err != nil {
 		return err
 	}
-	for key := range s.Params {
-		known := false
-		for _, k := range p.Params {
-			if key == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+	for key, v := range s.Params {
+		if !slices.Contains(p.Params, key) {
 			return fmt.Errorf("eda: framework %q does not take param %q (known: %s)",
 				s.Framework, key, strings.Join(p.Params, ", "))
+		}
+		// The negated test also rejects NaN.
+		if limit, ok := paramCaps[key]; ok && !(v >= 0 && v <= limit && v == math.Trunc(v)) {
+			return fmt.Errorf("eda: param %q = %g is out of range (a whole number in [0, %g])", key, v, limit)
 		}
 	}
 	if p.Check != nil {

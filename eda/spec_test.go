@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -73,6 +75,39 @@ func TestSpecValidateDirect(t *testing.T) {
 				t.Errorf("Validate() = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSpecValidateParamCaps: a param that sizes an allocation must be a
+// whole number in [0, cap]; the cap itself is accepted and every value
+// outside, NaN and the infinities included, names the param and range.
+func TestSpecValidateParamCaps(t *testing.T) {
+	caps := []struct {
+		framework, param string
+		cap              float64
+	}{
+		{"vrank", "k", 1024},
+		{"autochip", "k", 1024},
+		{"gp", "population", 4096},
+		{"crosscheck", "vectors", 4096},
+		{"xdebug", "vectors", 4096},
+	}
+	for _, c := range caps {
+		spec := func(v float64) eda.Spec {
+			return eda.Spec{Framework: c.framework, Params: map[string]float64{c.param: v}}
+		}
+		for _, v := range []float64{0, c.cap} {
+			if err := spec(v).Validate(); err != nil {
+				t.Errorf("%s %s=%g: %v, want nil", c.framework, c.param, v, err)
+			}
+		}
+		for _, v := range []float64{-1, 2.5, 1e10, c.cap + 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			err := spec(v).Validate()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.param)) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("[0, %g]", c.cap)) {
+				t.Errorf("%s %s=%g: %v, want an out-of-range error naming the param and range", c.framework, c.param, v, err)
+			}
+		}
 	}
 }
 
@@ -210,7 +245,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // then normalizes and validates what decodes against the default
 // registry. Nothing may panic, Normalize must be idempotent, and
 // normalizing twice must not change whether ValidateIn accepts the spec.
-// The corpus holds one spec per framework, from quickSpecs.
+// The corpus holds one spec per framework, from quickSpecs, and one with
+// a param out of range.
 func FuzzSpecJSON(f *testing.F) {
 	for _, spec := range quickSpecs() {
 		b, err := json.Marshal(spec)
@@ -219,6 +255,7 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	f.Add([]byte(`{"framework":"gp","params":{"population":1e10}}`))
 	reg := eda.DefaultRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))

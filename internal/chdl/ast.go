@@ -56,26 +56,6 @@ func (t *Type) Width() int {
 	}
 }
 
-// Signed reports whether the integer kind is signed.
-func (t *Type) Signed() bool {
-	switch t.Kind {
-	case KindInt, KindLong, KindChar, KindFloat:
-		return true
-	default:
-		return false
-	}
-}
-
-// IsInteger reports whether the type is a scalar integer.
-func (t *Type) IsInteger() bool {
-	switch t.Kind {
-	case KindInt, KindUInt, KindLong, KindULong, KindChar, KindBool:
-		return true
-	default:
-		return false
-	}
-}
-
 // String renders the type in C syntax.
 func (t *Type) String() string {
 	switch t.Kind {

@@ -144,15 +144,6 @@ func opCost(op string, w float64) (gates, delayNS float64) {
 	}
 }
 
-// loopInfo captures static trip counts and pragmas for latency estimation.
-type loopInfo struct {
-	trips    int
-	ii       int
-	unroll   int
-	bodyOps  int
-	bodyCost float64
-}
-
 // estimatePPA walks the kernel and folds operator costs, storage and
 // pragma effects into the PPA triple. Pipelining divides effective loop
 // latency by its initiation interval; unrolling multiplies datapath area

@@ -20,11 +20,12 @@ type Stats struct {
 }
 
 // lru is a capacity-bounded LRU map with per-key in-flight deduplication
-// (singleflight). Values are immutable artifacts (content hashes, parsed
-// files, compiled designs, simulation results, lint outcomes), so a hit
-// hands back the shared pointer; eviction only drops the cache's own
-// reference. One mutex guards both the entries and the in-flight table,
-// so a key is cached, in flight or absent, never two at once.
+// (singleflight). Keys are the inputs a layer computes from, compared in
+// full; values are immutable artifacts (parsed files, compiled designs,
+// simulation results, lint outcomes), so a hit hands back the shared
+// value; eviction only drops the cache's own reference. One mutex guards
+// both the entries and the in-flight table, so a key is cached, in flight
+// or absent, never two at once.
 //
 // The traffic counters are atomics kept outside mu: snapshot never takes
 // the map lock, so an observability poller (the edaserver /v1/stats
@@ -32,12 +33,12 @@ type Stats struct {
 // probes. A snapshot is therefore not one consistent cut across
 // counters, which is fine for monitoring and for the settled
 // before/after deltas the CLI takes.
-type lru struct {
+type lru[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	m       map[string]*list.Element
+	m       map[K]*list.Element
 	ll      *list.List // front = most recently used
-	flights map[string]*flight
+	flights map[K]*flight[V]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -47,24 +48,24 @@ type lru struct {
 }
 
 // flight is one in-progress computation that concurrent misses join.
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	ok   bool // val is valid; false when the leader panicked out of compute
 }
 
 // entry is one cached key/value pair.
-type entry struct {
-	key string
-	val any
+type entry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
 		cap:     capacity,
-		m:       make(map[string]*list.Element),
+		m:       make(map[K]*list.Element),
 		ll:      list.New(),
-		flights: make(map[string]*flight),
+		flights: make(map[K]*flight[V]),
 	}
 }
 
@@ -72,11 +73,11 @@ func newLRU(capacity int) *lru {
 // key, or joins the caller already computing it, or computes it. Under
 // RunMany, duplicate candidates that land in the same scheduling window
 // share one compute instead of each running it.
-func (c *lru) getOrCompute(key string, compute func() any) any {
+func (c *lru[K, V]) getOrCompute(key K, compute func() V) V {
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		v := el.Value.(*entry).val
+		v := el.Value.(*entry[K, V]).val
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return v
@@ -86,13 +87,13 @@ func (c *lru) getOrCompute(key string, compute func() any) any {
 		<-f.done
 		if !f.ok {
 			// The leader panicked out of compute and cached nothing;
-			// retry rather than hand back a nil value.
+			// retry rather than hand back a zero value.
 			return c.getOrCompute(key, compute)
 		}
 		c.hits.Add(1)
 		return f.val
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -104,11 +105,11 @@ func (c *lru) getOrCompute(key string, compute func() any) any {
 		c.mu.Lock()
 		delete(c.flights, key)
 		if f.ok {
-			c.m[key] = c.ll.PushFront(&entry{key: key, val: f.val})
+			c.m[key] = c.ll.PushFront(&entry[K, V]{key: key, val: f.val})
 			for c.ll.Len() > c.cap {
 				oldest := c.ll.Back()
 				c.ll.Remove(oldest)
-				delete(c.m, oldest.Value.(*entry).key)
+				delete(c.m, oldest.Value.(*entry[K, V]).key)
 				c.evictions.Add(1)
 			}
 			c.length.Store(int64(c.ll.Len()))
@@ -124,7 +125,7 @@ func (c *lru) getOrCompute(key string, compute func() any) any {
 
 // snapshot returns the current counters without taking the map lock; see
 // the consistency note on lru.
-func (c *lru) snapshot() Stats {
+func (c *lru[K, V]) snapshot() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
@@ -136,10 +137,10 @@ func (c *lru) snapshot() Stats {
 
 // purge drops every entry but keeps the counters. A compute in flight
 // still caches its value when it returns.
-func (c *lru) purge() {
+func (c *lru[K, V]) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]*list.Element)
+	c.m = make(map[K]*list.Element)
 	c.ll.Init()
 	c.length.Store(0)
 }

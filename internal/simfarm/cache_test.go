@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzLRU drives getOrCompute with probe sequences taken from the fuzz
-// input and checks every step against a model: a map of cached values
+// FuzzLRU drives getOrCompute on a string-keyed, int-valued cache with
+// probe sequences taken from the fuzz input and checks every step against
+// a model: a map of cached values
 // plus a recency slice, least recently used first. The first byte picks
 // the capacity (1–4); each later byte probes one of eight keys, and a
 // compute returns the probe's index, so a value that outlived its
@@ -21,14 +22,14 @@ func FuzzLRU(f *testing.F) {
 			return
 		}
 		capacity := int(in[0]%4) + 1
-		c := newLRU(capacity)
+		c := newLRU[string, int](capacity)
 		model := map[string]int{}
 		var recency []string
 		var hits, misses, evictions uint64
 		for probe, b := range in[1:] {
 			key := strconv.Itoa(int(b % 8))
 			computed := false
-			got := c.getOrCompute(key, func() any { computed = true; return probe })
+			got := c.getOrCompute(key, func() int { computed = true; return probe })
 
 			want, cached := model[key]
 			if cached {
@@ -54,7 +55,7 @@ func FuzzLRU(f *testing.F) {
 			}
 			var order []string
 			for el := c.ll.Back(); el != nil; el = el.Prev() {
-				order = append(order, el.Value.(*entry).key)
+				order = append(order, el.Value.(*entry[string, int]).key)
 			}
 			if !slices.Equal(order, recency) {
 				t.Fatalf("probe %d: recency %v, want %v", probe, order, recency)

@@ -1,18 +1,19 @@
 // Package simfarm is the compile-once/run-many simulation engine behind
 // every candidate-scoring framework in the suite (AutoChip, VRank,
-// crosscheck, the agent, HLS cosim, xdebug). It layers five
-// content-addressed, mutex-guarded LRU caches over the verilog front end
-// and one over the C front end —
+// crosscheck, the agent, HLS cosim, xdebug). It layers four mutex-guarded
+// LRU caches over the verilog front end and one over the C front end,
+// each keyed by the inputs it computes from —
 //
-//	hash:    source text            -> content hash
-//	parse:   source hash            -> parsed module list
-//	design:  (sources, top)         -> elaborated CompiledDesign
-//	result:  (design, sim options)  -> SimResult
-//	lint:    (DUT source, DUT top)  -> static-analysis outcome
-//	cparse:  C source hash          -> parsed C Program
+//	parse:   source text                  -> parsed module list
+//	design:  (top, DUT text, bench text)  -> elaborated CompiledDesign
+//	result:  (design key, sim options)    -> SimResult
+//	lint:    (DUT text, DUT top)          -> static-analysis outcome
+//	cparse:  C source text                -> parsed C Program
 //
 // — plus a bounded worker pool (RunMany) that simulates independent
-// candidates concurrently. Every layer probes through one singleflight
+// candidates concurrently. A key compares its texts in full, so equal
+// sources share one entry however the caller built them, and no digest
+// stands in for them. Every layer probes through one singleflight
 // lookup: concurrent misses on a key compute once, and a caller that
 // joins a compute in flight counts a hit, so each layer's misses equal
 // its computes. Every cached artifact is immutable and every simulation
@@ -24,7 +25,6 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +43,6 @@ const (
 	parseCap  = 512
 	designCap = 512
 	resultCap = 2048
-	hashCap   = 1024
 	lintCap   = 512
 	cparseCap = 256
 )
@@ -51,23 +50,21 @@ const (
 // Farm owns the cache hierarchy. A single Farm is safe for concurrent use
 // from any number of goroutines.
 type Farm struct {
-	parses  *lru
-	designs *lru
-	results *lru
-	// hashes memoizes source-text -> content hash so a source shared
-	// across many cache probes (a bench reused by every candidate) is
-	// sha-hashed once, not once per probe.
-	hashes *lru
+	// parses memoizes Verilog parses by source text; a bench reused by
+	// every candidate is parsed once.
+	parses  *lru[string, parseResult]
+	designs *lru[designKey, designResult]
+	results *lru[resultKey, simResult]
 	// lints memoizes static-analysis outcomes of standalone DUTs
-	// (keyed by DUT content hash + top), so screening the same candidate
+	// (keyed by DUT text + top), so screening the same candidate
 	// against many benches lints it once. lintRejects counts jobs
 	// rejected by screening — simulations the farm never had to run.
-	lints       *lru
+	lints       *lru[lintKey, lintOutcome]
 	lintRejects atomic.Int64
-	// cparses memoizes C parses (keyed by content hash) for the callers
+	// cparses memoizes C parses (keyed by source text) for the callers
 	// that only read and interpret the Program: the C reference models
 	// of crosscheck, xdebug, hlstest and the repair flow.
-	cparses *lru
+	cparses *lru[string, cParseResult]
 
 	// panics counts worker panics recovered in runJobCtx — each one a
 	// simulation that would have killed the process before PR 9.
@@ -87,12 +84,11 @@ func (f *Farm) SetFaults(in *faultinject.Injector) {
 // New builds an empty farm.
 func New() *Farm {
 	return &Farm{
-		parses:  newLRU(parseCap),
-		designs: newLRU(designCap),
-		results: newLRU(resultCap),
-		hashes:  newLRU(hashCap),
-		lints:   newLRU(lintCap),
-		cparses: newLRU(cparseCap),
+		parses:  newLRU[string, parseResult](parseCap),
+		designs: newLRU[designKey, designResult](designCap),
+		results: newLRU[resultKey, simResult](resultCap),
+		lints:   newLRU[lintKey, lintOutcome](lintCap),
+		cparses: newLRU[string, cParseResult](cparseCap),
 	}
 }
 
@@ -115,8 +111,6 @@ type FarmStats struct {
 	// simulation the farm did not spend).
 	Lints       Stats
 	LintRejects int64
-	// Hashes is the source-hash memo's traffic.
-	Hashes Stats
 	// CParses is the C parse memo's traffic.
 	CParses Stats
 	// Panics counts worker panics recovered into Result.Err instead of
@@ -138,7 +132,6 @@ func (f *Farm) Stats() FarmStats {
 		Results:     f.results.snapshot(),
 		Lints:       f.lints.snapshot(),
 		LintRejects: f.lintRejects.Load(),
-		Hashes:      f.hashes.snapshot(),
 		CParses:     f.cparses.snapshot(),
 		Panics:      f.panics.Load(),
 	}
@@ -156,7 +149,7 @@ type LayerStats struct {
 func (s FarmStats) Layers() []LayerStats {
 	return []LayerStats{
 		{"parse", s.Parses}, {"design", s.Designs}, {"result", s.Results},
-		{"lint", s.Lints}, {"hash", s.Hashes}, {"cparse", s.CParses},
+		{"lint", s.Lints}, {"cparse", s.CParses},
 	}
 }
 
@@ -166,7 +159,6 @@ func (f *Farm) Purge() {
 	f.parses.purge()
 	f.designs.purge()
 	f.results.purge()
-	f.hashes.purge()
 	f.lints.purge()
 	f.cparses.purge()
 }
@@ -179,7 +171,6 @@ func (s FarmStats) Delta(earlier FarmStats) FarmStats {
 		Results:     s.Results.delta(earlier.Results),
 		Lints:       s.Lints.delta(earlier.Lints),
 		LintRejects: s.LintRejects - earlier.LintRejects,
-		Hashes:      s.Hashes.delta(earlier.Hashes),
 		CParses:     s.CParses.delta(earlier.CParses),
 		Panics:      s.Panics - earlier.Panics,
 	}
@@ -215,17 +206,12 @@ type simResult struct {
 	err error
 }
 
-// sourceHash returns the memoized content hash of one source text.
-func (f *Farm) sourceHash(src string) string {
-	return f.hashes.getOrCompute(src, func() any { return verilog.HashSources("", src) }).(string)
-}
-
 // parse returns the cached parse of src, parsing on miss.
 func (f *Farm) parse(src string) (*verilog.SourceFile, error) {
-	pr := f.parses.getOrCompute(f.sourceHash(src), func() any {
+	pr := f.parses.getOrCompute(src, func() parseResult {
 		file, err := verilog.Parse(src)
-		return &parseResult{file: file, err: err}
-	}).(*parseResult)
+		return parseResult{file: file, err: err}
+	})
 	return pr.file, pr.err
 }
 
@@ -240,10 +226,10 @@ type cParseResult struct {
 // interpreters share it safely), but never edit it. A caller that
 // rewrites the tree parses privately with chdl.ParseC.
 func (f *Farm) ParseC(src string) (*chdl.Program, error) {
-	r := f.cparses.getOrCompute(f.sourceHash(src), func() any {
+	r := f.cparses.getOrCompute(src, func() cParseResult {
 		prog, err := chdl.ParseC(src)
-		return &cParseResult{prog: prog, err: err}
-	}).(*cParseResult)
+		return cParseResult{prog: prog, err: err}
+	})
 	return r.prog, r.err
 }
 
@@ -252,64 +238,53 @@ func ParseC(src string) (*chdl.Program, error) {
 	return Default().ParseC(src)
 }
 
-// Compile returns the cached elaboration of the given sources under top,
-// parsing each source through the parse cache and elaborating on miss.
-// The design key derives from the per-source content hashes (memoized),
-// so probing the cache re-hashes no full source; concurrent misses on one
-// key elaborate once (singleflight).
-func (f *Farm) Compile(top string, srcs ...string) (*verilog.CompiledDesign, error) {
-	// Equivalent to verilog.DesignHash(top, srcs...) with the per-source
-	// hashes served from the memo, so a design compiled directly and one
-	// compiled through the farm share one cache identity.
-	hs := make([]string, len(srcs))
-	for i, src := range srcs {
-		hs[i] = f.sourceHash(src)
-	}
-	key := verilog.HashSources(top, hs...)
-	dr := f.designs.getOrCompute(key, func() any {
-		files := make([]*verilog.SourceFile, len(srcs))
-		for i, src := range srcs {
-			file, err := f.parse(src)
-			if err != nil {
-				return &designResult{err: err}
-			}
-			files[i] = file
+// designKey identifies one elaboration: the bench's top module over the
+// DUT and bench texts. The two texts stay separate fields, so where one
+// ends and the other begins is part of the identity.
+type designKey struct{ top, dut, tb string }
+
+// resultKey identifies one deterministic run: the design plus every
+// option that can change observable behavior, normalized so that
+// zero-valued and explicitly-default options share one cache entry.
+type resultKey struct {
+	design designKey
+	opts   verilog.SimOptions
+}
+
+// Compile returns the cached elaboration of the DUT and bench sources
+// under top, parsing each through the parse cache and elaborating on
+// miss; concurrent misses on one design elaborate once (singleflight).
+func (f *Farm) Compile(top, dut, tb string) (*verilog.CompiledDesign, error) {
+	dr := f.designs.getOrCompute(designKey{top, dut, tb}, func() designResult {
+		dutFile, err := f.parse(dut)
+		if err != nil {
+			return designResult{err: err}
 		}
-		cd, err := verilog.ElaborateParsed(top, key, verilog.MergeSources(files...))
-		return &designResult{cd: cd, err: err}
-	}).(*designResult)
+		tbFile, err := f.parse(tb)
+		if err != nil {
+			return designResult{err: err}
+		}
+		cd, err := verilog.ElaborateParsed(top, verilog.MergeSources(dutFile, tbFile))
+		return designResult{cd: cd, err: err}
+	})
 	return dr.cd, dr.err
 }
 
-// resultKey identifies one deterministic run: the design identity plus
-// every option that can change observable behavior, normalized so that
-// zero-valued and explicitly-default options share one cache entry.
-func resultKey(hash string, opts verilog.SimOptions) string {
-	opts = opts.Normalized()
-	b := make([]byte, 0, len(hash)+48)
-	b = append(b, hash...)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, opts.MaxTime, 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, opts.MaxSteps, 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, opts.Seed, 10)
-	return string(b)
-}
-
-// Run simulates a compiled design under the given options, returning the
-// memoized result when this exact (design, options) pair has run before.
-// The simulator is fully deterministic, so the cached result is
-// bit-identical to a fresh run. Returned results are shared: callers must
-// treat them as read-only.
-func (f *Farm) Run(cd *verilog.CompiledDesign, opts verilog.SimOptions) (*verilog.SimResult, error) {
-	key := resultKey(cd.Hash, opts)
-	sr := f.results.getOrCompute(key, func() any {
+// run simulates cd, the design Compile built for key, under the given
+// options, returning the memoized result when this exact (design,
+// options) pair has run before. The simulator is fully deterministic, so
+// the cached result is bit-identical to a fresh run. Returned results are
+// shared: callers must treat them as read-only.
+func (f *Farm) run(key designKey, cd *verilog.CompiledDesign, opts verilog.SimOptions) (*verilog.SimResult, error) {
+	sr := f.results.getOrCompute(resultKey{key, opts.Normalized()}, func() simResult {
 		res, err := cd.Run(opts)
-		return &simResult{res: res, err: err}
-	}).(*simResult)
+		return simResult{res: res, err: err}
+	})
 	return sr.res, sr.err
 }
+
+// lintKey identifies one standalone lint: the DUT text under its top.
+type lintKey struct{ dut, top string }
 
 // lintOutcome caches the static analysis of one standalone DUT.
 type lintOutcome struct {
@@ -324,23 +299,22 @@ type lintOutcome struct {
 // directly rather than through the design cache: the DUT-alone design
 // is never simulated, and keeping it out of the design layer keeps that
 // layer's compute counters an honest measure of simulation work.
-func (f *Farm) lint(dutSrc, dutTop string) *lintOutcome {
-	key := f.sourceHash(dutSrc) + "|" + dutTop
-	return f.lints.getOrCompute(key, func() any {
+func (f *Farm) lint(dutSrc, dutTop string) lintOutcome {
+	return f.lints.getOrCompute(lintKey{dutSrc, dutTop}, func() lintOutcome {
 		file, err := f.parse(dutSrc)
 		if err != nil {
-			return &lintOutcome{err: err}
+			return lintOutcome{err: err}
 		}
 		d, err := verilog.Elaborate(file, dutTop)
 		if err != nil {
-			return &lintOutcome{err: err}
+			return lintOutcome{err: err}
 		}
-		out := &lintOutcome{diags: vlint.Lint(file, d)}
+		out := lintOutcome{diags: vlint.Lint(file, d)}
 		if errs := vlint.Errors(out.diags); len(errs) > 0 {
 			out.rej = &vlint.RejectError{Top: dutTop, Diags: errs}
 		}
 		return out
-	}).(*lintOutcome)
+	})
 }
 
 // Lint returns the full (warning + error) diagnostics of a standalone
@@ -372,7 +346,7 @@ func (f *Farm) RunTestbench(dutSrc, tbSrc, tbTop string, opts verilog.SimOptions
 	if err != nil {
 		return nil, err
 	}
-	return f.Run(cd, opts)
+	return f.run(designKey{tbTop, dutSrc, tbSrc}, cd, opts)
 }
 
 // Job is one independent simulation: a candidate DUT paired with a bench.
@@ -485,7 +459,7 @@ func (f *Farm) runJobCtx(ctx context.Context, job Job) (out Result) {
 		return Result{Err: err}
 	}
 	start = time.Now()
-	res, err := f.Run(cd, job.Opts)
+	res, err := f.run(designKey{job.Top, job.DUT, job.TB}, cd, job.Opts)
 	if sp != nil {
 		sp.Since(obs.PhaseSim, start)
 	}

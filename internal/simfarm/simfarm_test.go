@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,6 +79,55 @@ func TestCacheHitMissAndResultMemo(t *testing.T) {
 	}
 }
 
+// TestEqualTextsShareOneEntry: the layers key by text, not by string
+// identity, so a second request built from distinct copies of the same
+// sources is served from the first one's entries.
+func TestEqualTextsShareOneEntry(t *testing.T) {
+	f := New()
+	dut := tinyDUT(5)
+	r1, err := f.RunTestbench(dut, tinyTB, "tb", verilog.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := f.RunTestbench(strings.Clone(dut), strings.Clone(tinyTB), strings.Clone("tb"), verilog.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2 != r1 {
+		t.Error("cloned sources did not share the first run's result")
+	}
+	one := Stats{Hits: 1, Misses: 1, Computes: 1, Len: 1}
+	if s := f.Stats(); s.Designs != one || s.Results != one {
+		t.Errorf("designs %+v results %+v, want %+v each", s.Designs, s.Results, one)
+	}
+
+	const src = `int y(int a) { return a + 1; }`
+	p1, _ := f.ParseC(src)
+	if p2, _ := f.ParseC(strings.Clone(src)); p2 != p1 {
+		t.Error("cloned C source did not share the first parse")
+	}
+	if s := f.Stats().CParses; s != one {
+		t.Errorf("cparse %+v, want %+v", s, one)
+	}
+}
+
+// TestSourceBoundaryIsPartOfTheKey: the same characters split
+// differently between DUT and bench are two designs, because module
+// lookup and error attribution depend on which file holds what.
+func TestSourceBoundaryIsPartOfTheKey(t *testing.T) {
+	f := New()
+	a, b := tinyDUT(6), "// between\n"
+	for _, srcs := range [][2]string{{a + b, tinyTB}, {a, b + tinyTB}} {
+		res, err := f.RunTestbench(srcs[0], srcs[1], "tb", verilog.SimOptions{})
+		if err != nil || !res.Passed() {
+			t.Fatalf("run: %v %+v", err, res)
+		}
+	}
+	if s := f.Stats().Designs; s.Computes != 2 || s.Hits != 0 {
+		t.Errorf("design layer %+v, want two computes and no hit", s)
+	}
+}
+
 func TestCompileErrorIsCached(t *testing.T) {
 	f := New()
 	broken := "module inv(input a output y); endmodule" // missing comma
@@ -95,12 +145,12 @@ func TestCompileErrorIsCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, string](2)
 	// cached reports whether key was still cached: a cached probe never
 	// runs its compute.
 	cached := func(key string) bool {
 		hit := true
-		c.getOrCompute(key, func() any { hit = false; return key })
+		c.getOrCompute(key, func() string { hit = false; return key })
 		return hit
 	}
 	cached("a")
@@ -128,7 +178,13 @@ func TestLRUEviction(t *testing.T) {
 // for the whole cache hierarchy.
 func TestConcurrentFarm(t *testing.T) {
 	// Tiny layers force evictions.
-	f := &Farm{parses: newLRU(8), designs: newLRU(4), results: newLRU(4), hashes: newLRU(16), lints: newLRU(8), cparses: newLRU(4)}
+	f := &Farm{
+		parses:  newLRU[string, parseResult](8),
+		designs: newLRU[designKey, designResult](4),
+		results: newLRU[resultKey, simResult](4),
+		lints:   newLRU[lintKey, lintOutcome](8),
+		cparses: newLRU[string, cParseResult](4),
+	}
 	const goroutines = 16
 	const iters = 25
 	var wg sync.WaitGroup

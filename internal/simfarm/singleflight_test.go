@@ -53,7 +53,7 @@ func TestSingleflightDedupesConcurrentMisses(t *testing.T) {
 }
 
 // TestConcurrentParseComputesOnce: N goroutines parsing one source
-// through a fresh farm parse and hash it once, and count one miss each.
+// through a fresh farm parse it once and count one miss.
 func TestConcurrentParseComputesOnce(t *testing.T) {
 	f := New()
 	src := tinyDUT(77)
@@ -76,9 +76,6 @@ func TestConcurrentParseComputesOnce(t *testing.T) {
 	want := Stats{Hits: n - 1, Misses: 1, Computes: 1, Len: 1}
 	if s.Parses != want {
 		t.Errorf("parse layer %+v, want %+v", s.Parses, want)
-	}
-	if s.Hashes != want {
-		t.Errorf("hash layer %+v, want %+v", s.Hashes, want)
 	}
 }
 
@@ -111,7 +108,7 @@ func TestSingleflightDistinctKeysDoNotBlock(t *testing.T) {
 // the entry, so followers waiting on the same key retry instead of
 // blocking forever once someone recovers around the leader.
 func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
-	c := newLRU(4)
+	c := newLRU[string, string](4)
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -120,7 +117,7 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 				t.Error("leader: expected compute panic to propagate")
 			}
 		}()
-		c.getOrCompute("k", func() any {
+		c.getOrCompute("k", func() string {
 			close(inFlight)
 			<-release
 			panic("boom")
@@ -128,9 +125,9 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 	}()
 	<-inFlight
 
-	got := make(chan any, 1)
+	got := make(chan string, 1)
 	go func() {
-		got <- c.getOrCompute("k", func() any { return "fallback" })
+		got <- c.getOrCompute("k", func() string { return "fallback" })
 	}()
 	// Give the follower time to join the flight, then detonate the
 	// leader. If the follower had not joined yet it simply becomes the
@@ -147,7 +144,7 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower deadlocked after leader panic")
 	}
-	if v := c.getOrCompute("k", func() any { return "recomputed" }); v != "fallback" {
+	if v := c.getOrCompute("k", func() string { return "recomputed" }); v != "fallback" {
 		t.Errorf("cache holds %v after retry, want fallback", v)
 	}
 }

@@ -83,14 +83,12 @@ func TestRunManyCountersRepeat(t *testing.T) {
 			Opts: verilog.SimOptions{Seed: uint64(i % 4)}}
 	}
 	// Probes per layer: one design, result and lint probe per job; two
-	// parse probes per design compute and one per lint compute; a hash
-	// probe per source in each Compile, per lint key and per parse.
+	// parse probes per design compute and one per lint compute.
 	want := []LayerStats{
 		{"parse", Stats{Hits: 18 - 7, Misses: 7, Computes: 7, Len: 7}},
 		{"design", Stats{Hits: 32 - 6, Misses: 6, Computes: 6, Len: 6}},
 		{"result", Stats{Hits: 32 - 12, Misses: 12, Computes: 12, Len: 12}},
 		{"lint", Stats{Hits: 32 - 6, Misses: 6, Computes: 6, Len: 6}},
-		{"hash", Stats{Hits: 64 + 32 + 18 - 7, Misses: 7, Computes: 7, Len: 7}},
 		{"cparse", Stats{}},
 	}
 	for run := 0; run < 20; run++ {

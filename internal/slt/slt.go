@@ -97,16 +97,10 @@ func Score(source string, opts boom.RunOptions) (float64, *boom.Result) {
 	return res.PowerW, res
 }
 
-// ScoreBatch evaluates a candidate batch on the processor model through
+// ScoreBatchCtx evaluates a candidate batch on the processor model through
 // the simfarm worker pool (workers <= 0 selects GOMAXPROCS). Each snippet
 // compiles and runs independently, so the returned scores are in input
-// order and identical to a serial Score loop.
-func ScoreBatch(sources []string, opts boom.RunOptions, workers int) []float64 {
-	scores, _ := ScoreBatchCtx(context.Background(), sources, opts, workers)
-	return scores
-}
-
-// ScoreBatchCtx is ScoreBatch under a context: cancellation stops new
+// order and identical to a serial Score loop. Cancellation stops new
 // snippet evaluations within one in-flight run and returns ctx.Err();
 // unevaluated slots stay zero.
 func ScoreBatchCtx(ctx context.Context, sources []string, opts boom.RunOptions, workers int) ([]float64, error) {

@@ -1,9 +1,6 @@
 package verilog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ElabError is a positioned elaboration error (unknown module, bad width,
 // unresolved name); like ParseError it becomes LLM feedback upstream, and
@@ -173,16 +170,6 @@ func (d *Design) SignalByName(name string) (*Signal, bool) {
 		return nil, false
 	}
 	return d.Signals[id], true
-}
-
-// SignalNames returns all hierarchical signal names, sorted.
-func (d *Design) SignalNames() []string {
-	names := make([]string, 0, len(d.byName))
-	for n := range d.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // elaborator carries state while flattening.

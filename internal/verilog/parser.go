@@ -1,9 +1,6 @@
 package verilog
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ParseError is a positioned syntax error; the AutoChip-style loops feed
 // its message back to the (simulated) LLM as compiler feedback. It
@@ -75,13 +72,6 @@ func Parse(src string) (*SourceFile, error) {
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
-
-func (p *parser) peekTok(n int) token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+n]
-}
 
 func (p *parser) advance() token {
 	t := p.cur()
@@ -1151,21 +1141,4 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errorf("unexpected token %q in expression", t.text)
 	}
-}
-
-// MustParse parses src and panics on error; for tests and embedded fixtures.
-func MustParse(src string) *SourceFile {
-	f, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("verilog.MustParse: %v\nsource:\n%s", err, firstLines(src, 10)))
-	}
-	return f
-}
-
-func firstLines(s string, n int) string {
-	lines := strings.SplitN(s, "\n", n+1)
-	if len(lines) > n {
-		lines = lines[:n]
-	}
-	return strings.Join(lines, "\n")
 }
